@@ -1,14 +1,20 @@
 // bench_test.go regenerates every figure and table of the paper's
 // evaluation (§IV) as Go benchmarks, one target per experiment:
 //
-//	E1  BenchmarkE1ReadDistinctFiles   — §IV.B microbenchmark 1
-//	E2  BenchmarkE2ReadSharedFile      — §IV.B microbenchmark 2
-//	E3  BenchmarkE3WriteDistinctFiles  — §IV.B microbenchmark 3
-//	E4  BenchmarkE4RandomTextWriter    — §IV.C application 1
-//	E5  BenchmarkE5DistributedGrep     — §IV.C application 2
-//	X1  BenchmarkX1ConcurrentAppend    — §V future work: shared appends
-//	X4  BenchmarkX4SnapshotIsolation   — §V future work: versioned jobs
-//	A1-A4                              — ablations (see DESIGN.md)
+//	E1  BenchmarkE1ReadDistinctFiles    — §IV.B microbenchmark 1
+//	E2  BenchmarkE2ReadSharedFile       — §IV.B microbenchmark 2
+//	E3  BenchmarkE3WriteDistinctFiles   — §IV.B microbenchmark 3
+//	E4  BenchmarkE4RandomTextWriter     — §IV.C application 1
+//	E5  BenchmarkE5DistributedGrep      — §IV.C application 2
+//	X1  BenchmarkX1ConcurrentAppend     — §V future work: shared appends
+//	X4  BenchmarkX4SnapshotIsolation    — §V future work: versioned jobs
+//	A1  BenchmarkA1PlacementAblation    — striping vs local-first placement
+//	A2  BenchmarkA2ClientCacheAblation  — BSFS client cache disabled
+//	A3  BenchmarkA3PageSizeAblation     — BlobSeer page size sweep
+//	A4  BenchmarkA4WriteThroughAblation — HDFS write-through off
+//
+// cmd/bsfs-bench -exp a1..a4 runs the same ablations as client-count
+// sweeps; README.md records their results.
 //
 // Each iteration builds a fresh simulated cluster, runs the workload in
 // virtual time, and reports the paper's metric (per-client MB/s or job

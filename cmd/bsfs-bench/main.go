@@ -1,11 +1,13 @@
 // Command bsfs-bench regenerates the paper's microbenchmark figures
-// (E1-E3), the extensions (X1 concurrent appends, X2 shared-blob
+// (E1 distinct-file reads, E2 shared-file reads, E3 distinct-file
+// writes), the extensions (X1 concurrent appends, X2 shared-blob
 // publish throughput, X3 provider failure/churn with replica repair,
 // X5 sharded version-manager scaling, X6 membership churn, X7 tiered
-// storage recovery over durable backends) and the ablation studies
-// (A1-A7, including A5's serial-vs-parallel client data path, A6's
-// version-manager group commit on/off, and A7's sharded-vs-centralized
-// version management) on a simulated Grid'5000-style cluster.
+// storage recovery over durable backends, X8 heavy-traffic serving
+// with admission control) and the ablation studies (A1 placement, A2
+// client cache, A3 page size, A4 HDFS write-through, A7 sharded vs
+// centralized version management) on a simulated Grid'5000-style
+// cluster. -list prints the registry these ids come from.
 //
 // Usage:
 //
@@ -14,13 +16,15 @@
 //	bsfs-bench -clients 1,50,250        # custom sweep
 //	bsfs-bench -size 256 -nodes 90      # reduced scale (MB per client)
 //	bsfs-bench -replicas 3              # replicated deployments
-//	bsfs-bench -csv                     # machine-readable output
+//	bsfs-bench -exp a3 -csv             # sweep points as CSV on stdout
 //	bsfs-bench -json results.json       # record results (name, params, metrics)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,39 +33,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the command line and returns the exit status: 0 on
+// success, 1 when an experiment or output fails, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	ids := make([]string, len(bench.Experiments))
+	for i, e := range bench.Experiments {
+		ids[i] = e.ID
+	}
+	fs := flag.NewFlagSet("bsfs-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment id: e1 e2 e3 x1 x2 x3 x5 x6 x7 a1 a2 a3 a4 a5 a6 a7, or 'all'")
-		clients  = flag.String("clients", "1,20,50,100,150,200,250", "comma-separated client counts")
-		sizeMB   = flag.Int64("size", 1024, "data per client in MB (paper: 1024)")
-		nodes    = flag.Int("nodes", 270, "cluster size (paper: 270)")
-		cacheMB  = flag.Int64("cache", 512, "storage-node RAM cache in MB")
-		replicas = flag.Int("replicas", 1, "data replication factor for both systems")
-		csv      = flag.Bool("csv", false, "emit CSV instead of tables")
-		jsonPath = flag.String("json", "", "also write results (name, params, metrics) as JSON to this path")
-		list     = flag.Bool("list", false, "list experiments and exit")
+		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(ids, " ")+", or 'all'")
+		clients  = fs.String("clients", "1,20,50,100,150,200,250", "comma-separated client counts")
+		sizeMB   = fs.Int64("size", 1024, "data per client in MB (paper: 1024)")
+		nodes    = fs.Int("nodes", 270, "cluster size (paper: 270)")
+		cacheMB  = fs.Int64("cache", 512, "storage-node RAM cache in MB")
+		replicas = fs.Int("replicas", 1, "data replication factor for both systems")
+		csv      = fs.Bool("csv", false, "emit the sweep points as CSV instead of tables")
+		jsonPath = fs.String("json", "", "also write results (name, params, metrics) as JSON to this path")
+		list     = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range bench.Experiments {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var counts []int
 	for _, part := range strings.Split(*clients, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: bad client count %q\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bsfs-bench: bad client count %q\n", part)
+			return 2
 		}
 		counts = append(counts, n)
 	}
 	for _, n := range counts {
 		if n > *nodes-1 {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: %d clients exceed %d storage nodes\n", n, *nodes-1)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bsfs-bench: %d clients exceed %d storage nodes\n", n, *nodes-1)
+			return 2
 		}
 	}
 
@@ -73,35 +93,38 @@ func main() {
 		Replication:    *replicas,
 	}
 
-	out := os.Stdout
-	if *csv {
-		// CSV mode wraps every experiment's points; simplest is to run
-		// the sweeps directly for the three core experiments.
-		runCSV(opts)
-		return
-	}
-
 	var todo []bench.Experiment
 	if *exp == "all" {
 		todo = bench.Experiments
 	} else {
 		e, ok := bench.FindExperiment(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bsfs-bench: unknown experiment %q (try -list)\n", *exp)
+			return 2
 		}
 		todo = []bench.Experiment{e}
 	}
 
+	// Tables and banners go to stdout unless stdout carries CSV, which
+	// is rendered from the recorded points once every experiment ran.
+	tables := stdout
+	if *csv {
+		tables = io.Discard
+	}
 	var results []bench.ExperimentResult
+	var points []bench.Point
 	for _, e := range todo {
-		fmt.Printf("\n--- %s ---\n", e.Title)
-		rec := &bench.Recorder{Writer: out}
+		fmt.Fprintf(tables, "\n--- %s ---\n", e.Title)
+		rec := &bench.Recorder{Writer: tables}
 		if err := e.Run(opts, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bsfs-bench: %s: %v\n", e.ID, err)
+			return 1
 		}
 		results = append(results, bench.NewExperimentResult(e, rec))
+		points = append(points, rec.Points...)
+	}
+	if *csv {
+		bench.WritePointsCSV(stdout, points)
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
@@ -112,44 +135,10 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bsfs-bench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bsfs-bench: writing %s: %v\n", *jsonPath, err)
+			return 1
 		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
+		fmt.Fprintf(tables, "\nwrote %s\n", *jsonPath)
 	}
-}
-
-// runCSV emits E1-E3 sweep data for plotting.
-func runCSV(opts bench.SweepOpts) {
-	var all []bench.Point
-	type runner struct {
-		name string
-		fn   func(bench.MicroOpts) (bench.Point, error)
-	}
-	for _, r := range []runner{
-		{"e1", bench.RunReadDistinct},
-		{"e2", bench.RunReadShared},
-		{"e3", bench.RunWriteDistinct},
-	} {
-		for _, kind := range []string{"bsfs", "hdfs"} {
-			for _, n := range opts.Clients {
-				p, err := r.fn(bench.MicroOpts{
-					Clients:        n,
-					BytesPerClient: opts.BytesPerClient,
-					Spec:           opts.Spec,
-					Storage: bench.StorageOpts{
-						Kind:        kind,
-						MemCapacity: opts.MemCapacity,
-						Replication: opts.Replication,
-					},
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bsfs-bench: %s/%s/%d: %v\n", r.name, kind, n, err)
-					os.Exit(1)
-				}
-				all = append(all, p)
-			}
-		}
-	}
-	bench.WritePointsCSV(os.Stdout, all)
+	return 0
 }

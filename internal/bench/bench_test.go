@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 )
@@ -324,11 +327,12 @@ func TestA7ShardedNotSlowerThanSingle(t *testing.T) {
 
 func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
 	// A6's acceptance bar: batched (group-commit) publication is at
-	// least as fast as the serial baseline at every tested writer
-	// count. RunPublishAblation itself errors on a violation; the
-	// explicit comparison here keeps the numbers in the test log.
+	// least as fast as the retired serial-publish baseline at every
+	// tested writer count. The serial rates were recorded before that
+	// path was removed (BENCH_ablations.json); the 1% margin absorbs
+	// scheduling jitter.
 	for _, n := range []int{1, 4, 16} {
-		batched, serial, err := RunPublishAblation(PublishOpts{
+		batched, err := RunPublishShared(PublishOpts{
 			Clients:         n,
 			BlocksPerClient: 32,
 			Spec:            ClusterSpec{Nodes: 34},
@@ -336,16 +340,21 @@ func TestA6GroupCommitNotSlowerThanSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		t.Logf("A6 n=%d: group-commit %.1f versions/s vs serial %.1f versions/s",
-			n, batched.VersionsPerSec, serial.VersionsPerSec)
+		serial := ablationBaseline(t, fmt.Sprintf("a6_serial_versions_per_s_n%d", n))
+		t.Logf("A6 n=%d: group-commit %.1f versions/s vs recorded serial %.1f versions/s",
+			n, batched.VersionsPerSec, serial)
+		if batched.VersionsPerSec < serial*0.99 {
+			t.Fatalf("n=%d: group commit slower than serial publish: %.1f vs %.1f versions/s",
+				n, batched.VersionsPerSec, serial)
+		}
 	}
 }
 
 func TestA5ParallelDataPathNotSlower(t *testing.T) {
 	// The A5 ablation's acceptance bar: the parallel/pipelined client
-	// data path must be at least as fast as the serial baseline, for
-	// both reads and writes. The simulation is deterministic, so a
-	// direct makespan comparison is stable.
+	// data path must be at least as fast as the retired serial baseline
+	// (makespans recorded in BENCH_ablations.json), for both reads and
+	// writes.
 	for _, dir := range []struct {
 		name string
 		run  microRunner
@@ -357,20 +366,41 @@ func TestA5ParallelDataPathNotSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		so := microOpts("bsfs", 12)
-		so.Storage.SerialDataPath = true
-		ser, err := dir.run(so)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("A5 %s: parallel %.1f MB/s vs serial %.1f MB/s per client (makespan %s vs %s)",
-			dir.name, par.PerClientMBps, ser.PerClientMBps, par.Duration, ser.Duration)
+		serial := ablationBaseline(t, "a5_serial_"+dir.name+"_makespan_s")
+		t.Logf("A5 %s: parallel %.1f MB/s per client, makespan %s vs recorded serial %.4fs",
+			dir.name, par.PerClientMBps, par.Duration, serial)
 		// Allow a hair of tolerance: scheduling-order differences can
 		// shuffle identical charges by rounding.
-		if par.Duration > ser.Duration+ser.Duration/100 {
-			t.Fatalf("parallel %s path slower than serial: %s vs %s", dir.name, par.Duration, ser.Duration)
+		if par.Duration.Seconds() > serial*1.01 {
+			t.Fatalf("parallel %s path slower than serial: %s vs %.4fs", dir.name, par.Duration, serial)
 		}
 	}
+}
+
+// ablationBaseline returns a retired ablation arm's recorded number
+// from BENCH_ablations.json at the repository root.
+func ablationBaseline(t *testing.T, name string) float64 {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_ablations.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Baselines []struct {
+			Name  string
+			Value float64
+		}
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range f.Baselines {
+		if b.Name == name {
+			return b.Value
+		}
+	}
+	t.Fatalf("BENCH_ablations.json has no baseline %q", name)
+	return 0
 }
 
 func TestX7TieredRecovery(t *testing.T) {

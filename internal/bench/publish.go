@@ -1,13 +1,11 @@
-// publish.go runs the version-manager scaling scenario (X2) and its
-// ablation (A6): N concurrent writers append fixed-size blocks to ONE
-// shared file through the BSFS writer pipeline, and the measured
-// quantity is publish throughput — published versions per second of
-// virtual time. Every block is one version, so the workload is
-// metadata-bound by design: it exposes whether the per-version
-// round trips to the version manager (ticket + publish) scale with
-// writer count or flatten into a serial bottleneck. A6 runs the same
-// workload with and without the group-commit/batched-RPC path and
-// asserts batched publication is at least as fast as serial.
+// publish.go runs the version-manager scaling scenario (X2): N
+// concurrent writers append fixed-size blocks to ONE shared file
+// through the BSFS writer pipeline, and the measured quantity is
+// publish throughput — published versions per second of virtual time.
+// Every block is one version, so the workload is metadata-bound by
+// design: it exposes whether the per-version round trips to the
+// version manager (ticket + publish) scale with writer count or
+// flatten into a serial bottleneck.
 package bench
 
 import (
@@ -150,30 +148,4 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 		res.VersionsPerSec = float64(versions) / makespan.Seconds()
 	}
 	return res, err
-}
-
-// RunPublishAblation is ablation A6: the same shared-blob workload
-// with the group-commit/batched-RPC publish path on and off. It errors
-// if the batched path publishes slower than the serial baseline — the
-// sim-level assertion that group commit never loses.
-func RunPublishAblation(opts PublishOpts) (batched, serial PublishResult, err error) {
-	grouped := opts
-	grouped.Storage.SerialPublish = false
-	batched, err = RunPublishShared(grouped)
-	if err != nil {
-		return batched, serial, err
-	}
-	ser := opts
-	ser.Storage.SerialPublish = true
-	serial, err = RunPublishShared(ser)
-	if err != nil {
-		return batched, serial, err
-	}
-	// Allow sub-percent scheduling jitter; anything beyond means the
-	// batch path genuinely regressed.
-	if batched.VersionsPerSec < serial.VersionsPerSec*0.99 {
-		err = fmt.Errorf("bench: a6 group commit slower than serial publish: %.1f vs %.1f versions/s",
-			batched.VersionsPerSec, serial.VersionsPerSec)
-	}
-	return batched, serial, err
 }

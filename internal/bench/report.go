@@ -13,7 +13,7 @@ import (
 // Recorder tees an experiment's rendered output while capturing the
 // structured results behind it. Pass one as the writer to
 // Experiment.Run: WritePointsTable feeds it every sweep point, and
-// experiments with scalar results (x2, x3, x5, x6, a6, a7) record
+// experiments with scalar results (x2, x3, x5, x6, x7, x8, a7) record
 // named metrics. Serialize with WriteResultsJSON (bsfs-bench -json).
 type Recorder struct {
 	io.Writer

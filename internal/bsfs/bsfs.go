@@ -55,9 +55,6 @@ type Config struct {
 	// disables the pipeline; every block then commits synchronously in
 	// the caller.
 	MaxInFlightBlocks int
-	// DisableReadahead turns off the reader's background prefetch of
-	// the next block on sequential access.
-	DisableReadahead bool
 	// DisableCache bypasses the client cache entirely (ablation A2):
 	// every read and write goes straight to BlobSeer at request
 	// granularity.
@@ -967,7 +964,7 @@ func (r *reader) insertLocked(bi int64, data []byte) {
 func (r *reader) noteAccessLocked(bi int64, synthetic bool) {
 	seq := bi == r.lastBi+1
 	r.lastBi = bi
-	if !seq || r.closed || r.fs.svc.cfg.DisableReadahead || r.fs.svc.cfg.DisableCache {
+	if !seq || r.closed || r.fs.svc.cfg.DisableCache {
 		return
 	}
 	// A single-slot cache cannot hold the current block and its

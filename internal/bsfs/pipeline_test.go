@@ -200,33 +200,6 @@ func TestReadaheadPrefetchesNextBlock(t *testing.T) {
 	}
 }
 
-// TestReadaheadDisabled: with DisableReadahead no background block
-// appears, and with a random (non-sequential) access pattern no
-// readahead triggers either.
-func TestReadaheadDisabled(t *testing.T) {
-	_, fs := newTestFS(t, Config{BlockSize: 256, DisableReadahead: true})
-	data := make([]byte, 1024)
-	writeFile(t, fs, "/ra/off", data)
-	r, err := fs.Open("/ra/off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	rd := r.(*reader)
-	buf := make([]byte, 64)
-	if _, err := rd.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	rd.mu.Lock()
-	_, prefetched := rd.blocks[1]
-	inflight := len(rd.inflight)
-	rd.mu.Unlock()
-	if prefetched || inflight > 0 {
-		t.Fatalf("readahead ran despite DisableReadahead (cached=%v inflight=%d)", prefetched, inflight)
-	}
-}
-
 // TestReadaheadRandomAccessDoesNotTrigger: jumping straight into the
 // middle of the file is not a sequential scan; block 3 alone must not
 // pull block 4.

@@ -101,17 +101,15 @@ func BenchmarkLocalWriteRead(b *testing.B) {
 	}
 }
 
-// newBenchDeployment builds a small Local-env deployment with the
-// serial data path (fan-outs run in the calling goroutine), the
-// configuration the allocation benchmarks and assertions (alloc_test.go)
-// measure.
+// newBenchDeployment builds a small deployment on the inline env
+// (fan-outs run in the calling goroutine), the configuration the
+// allocation benchmarks and assertions (alloc_test.go) measure.
 func newBenchDeployment(tb testing.TB, opts Options) (*Deployment, *Client) {
 	tb.Helper()
-	env := cluster.NewLocal(4, 2)
+	env := newInlineEnv(4, 2)
 	if len(opts.ProviderNodes) == 0 {
 		opts.ProviderNodes = []cluster.NodeID{1, 2, 3}
 	}
-	opts.SerialIO = true
 	d, err := NewDeployment(env, opts)
 	if err != nil {
 		tb.Fatal(err)

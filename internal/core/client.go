@@ -87,12 +87,15 @@ func (c *Client) providerView() map[cluster.NodeID]*Provider {
 // exception is the placement loop: the Rebalancer rewrites leaves it
 // re-replicates or migrates, writing through its own cache; other
 // clients' stale leaves still name surviving replicas, so reads keep
-// working via failover. One shard reproduces the historical
-// single-mutex cache (Options.MetaCacheShards = 1).
+// working via failover.
 type cachedMeta struct {
 	cl    *dht.Client
 	cache *stripecache.Cache
 }
+
+// metaCacheShards is the lock-stripe count of every client's metadata
+// cache.
+const metaCacheShards = 16
 
 func newCachedMeta(cl *dht.Client, shards, capacity int) *cachedMeta {
 	return &cachedMeta{cl: cl, cache: stripecache.New(shards, capacity)}
@@ -306,7 +309,7 @@ func (c *Client) write(s opSettings, blob BlobID, off, length int64, data []byte
 		// The scatter joins every in-flight put (and the store copies on
 		// ingest) before write returns, so the buffers recycle safely on
 		// every exit path.
-		defer c.putBufs(bufs)
+		defer putBufs(bufs)
 	}
 
 	// 3. Placement: each page key hashes to its preferred owners under
@@ -405,10 +408,6 @@ func (b AppendBlock) length() int64 {
 // publication itself fails partway (a member was tombstoned or the Ctx
 // expired mid-wait), the longest published prefix is returned
 // alongside the error.
-//
-// With Options.SerialPublish set the batch degrades to one write()
-// round per block — the A6 ablation baseline — and a failure then
-// leaves the leading blocks that already committed published.
 func (c *Client) appendBlocks(s opSettings, blob BlobID, blocks []AppendBlock) ([]Version, int64, error) {
 	if len(blocks) == 0 {
 		return nil, 0, nil
@@ -422,20 +421,12 @@ func (c *Client) appendBlocks(s opSettings, blob BlobID, blocks []AppendBlock) (
 			return nil, 0, fmt.Errorf("%w: mixed real and synthetic blocks", ErrBadWrite)
 		}
 	}
-	if c.d.Opts.SerialPublish || len(blocks) == 1 {
-		var out []Version
-		var first int64
-		for i, b := range blocks {
-			v, off, err := c.write(s, blob, 0, b.length(), b.Data, true)
-			if err != nil {
-				return out, first, err
-			}
-			if i == 0 {
-				first = off
-			}
-			out = append(out, v)
+	if len(blocks) == 1 {
+		v, off, err := c.write(s, blob, 0, blocks[0].length(), blocks[0].Data, true)
+		if err != nil {
+			return nil, 0, err
 		}
-		return out, first, nil
+		return []Version{v}, off, nil
 	}
 	if err := s.ctx.Err(); err != nil {
 		return nil, 0, canceled("append", err)
@@ -513,8 +504,8 @@ func (c *Client) appendBlocks(s opSettings, blob BlobID, blocks []AppendBlock) (
 		// Pooled (zeroed — the merged prefix's holes must read as
 		// zeros); the scatter joins before this function returns, so the
 		// deferred recycle is safe on every path.
-		extBuf := c.getBuf((base - alignedStart) + total)
-		defer c.putBuf(extBuf)
+		extBuf := getBuf((base - alignedStart) + total)
+		defer putBuf(extBuf)
 		ext = extBuf.b
 		if base > alignedStart {
 			if err := c.mergeFragment(s.ctx, blob, recs[0].Version, hist, alignedStart, alignedStart, base, ps, ext[:base-alignedStart]); err != nil {
@@ -684,10 +675,8 @@ func (c *Client) AppendMany(reqs []BlobAppend, opts ...WriteOption) ([][]Version
 			}
 		})
 	}
-	if c.d.Opts.SerialIO || len(workers) == 1 {
-		for _, w := range workers {
-			w()
-		}
+	if len(workers) == 1 {
+		workers[0]()
 	} else {
 		wg := c.d.Env.NewWaitGroup()
 		for _, w := range workers {
@@ -783,13 +772,13 @@ func (c *Client) assemblePages(s opSettings, blob BlobID, rec WriteRecord, hist 
 	pages = make([][]byte, hi-lo)
 	bufs = make([]*pageBuf, 0, hi-lo)
 	fail := func(err error) ([][]byte, []*pageBuf, error) {
-		c.putBufs(bufs)
+		putBufs(bufs)
 		return nil, nil, err
 	}
 	for p := lo; p < hi; p++ {
 		pStart := p * ps
 		extent := pageExtent(p, ps, rec.SizeAfter)
-		pb := c.getBuf(extent) // zeroed: uncovered fragments are holes
+		pb := getBuf(extent) // zeroed: uncovered fragments are holes
 		bufs = append(bufs, pb)
 		buf := pb.b
 		// Overlap with existing data if the write does not fully cover
@@ -899,7 +888,7 @@ func (c *Client) readCommon(s opSettings, blob BlobID, off, length int64, dst []
 
 	// Gather staging lives in pooled buffers; they recycle after the
 	// copy-out below (nothing retains the staged bytes past this call).
-	arena := bufArena{c: c}
+	var arena bufArena
 	defer arena.release()
 	fetched, err := c.gatherPages(s.ctx, leaves, lo, hi, &arena)
 	if err != nil {
@@ -944,10 +933,9 @@ func (c *Client) readCommon(s opSettings, blob BlobID, off, length int64, dst []
 // fanOut runs fn once per node, concurrently through the environment's
 // WaitGroup so the same code overlaps provider I/O in both the Sim and
 // Local envs. It returns only after every invocation has finished: no
-// in-flight work leaks past it. With Options.SerialIO set (the A5
-// ablation baseline) nodes are visited one at a time instead.
+// in-flight work leaks past it.
 func (c *Client) fanOut(nodes []cluster.NodeID, fn func(cluster.NodeID)) {
-	if c.d.Opts.SerialIO || len(nodes) <= 1 {
+	if len(nodes) <= 1 {
 		for _, n := range nodes {
 			fn(n)
 		}

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -178,25 +179,53 @@ func TestParallelScatterAbortOnFailure(t *testing.T) {
 	}
 }
 
-// TestSerialIOMatchesParallel runs the same workload with and without
-// SerialIO: byte-level results must be identical (the flag only changes
-// scheduling, never outcomes).
+// TestSerialIOMatchesParallel runs the same workload on the inline env
+// (fan-outs visit providers one at a time in the caller) and on
+// cluster.Local (one goroutine per provider): the bytes read back and
+// the published history must be identical — concurrency changes
+// scheduling, never outcomes.
 func TestSerialIOMatchesParallel(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		d := newLocalDeployment(t, Options{PageSize: 64, Replication: 2, SerialIO: serial})
+	run := func(env cluster.Env) ([]byte, []WriteRecord) {
+		t.Helper()
+		d, err := NewDeployment(env, Options{PageSize: 64, Replication: 2, ProviderNodes: []cluster.NodeID{1, 2, 3, 4, 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
 		c := d.NewClient(0)
 		blob, _ := c.CreateBlob(0)
 		data := bytes.Repeat([]byte("squall"), 100)
 		if _, err := blob.WriteAt(data, 0); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+			t.Fatal(err)
 		}
-		buf := make([]byte, len(data))
-		if _, err := blob.ReadAt(buf, 0); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
+		if _, err := blob.WriteAt([]byte("gust"), 130); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buf, data) {
-			t.Fatalf("serial=%v: round trip mismatch", serial)
+		if _, _, err := blob.Append(Blocks(data[:200], data[200:])); err != nil {
+			t.Fatal(err)
 		}
+		buf := make([]byte, 2*len(data))
+		if n, err := blob.ReadAt(buf, 0); err != nil || n != int64(len(buf)) {
+			t.Fatalf("read %d, %v", n, err)
+		}
+		recs, err := d.VM.Records(0, blob.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf, recs
+	}
+	serial, serialRecs := run(newInlineEnv(8, 4))
+	parallel, parallelRecs := run(cluster.NewLocal(8, 4))
+	if !bytes.Equal(serial, parallel) {
+		t.Fatal("inline and parallel fan-outs read back different bytes")
+	}
+	if !slices.Equal(serialRecs, parallelRecs) {
+		t.Fatalf("histories differ:\n inline   %v\n parallel %v", serialRecs, parallelRecs)
+	}
+	want := bytes.Repeat([]byte("squall"), 200)
+	copy(want[130:], "gust")
+	if !bytes.Equal(serial, want) {
+		t.Fatal("round trip mismatch")
 	}
 }
 

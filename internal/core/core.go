@@ -61,24 +61,12 @@ type Options struct {
 	// pages and migrating misplaced ones. 0 disables the sweep;
 	// RepairBlob stays available on demand.
 	PlacementInterval time.Duration
-	// RepairInterval is the historical alias for PlacementInterval.
-	RepairInterval time.Duration
 	// HeartbeatInterval enables the placement manager's background
 	// health checker: every interval each provider is probed and
 	// consecutive misses mark it down (a success marks it up again).
 	// 0 leaves health checking to the on-demand probes the placement
 	// loop runs before each evaluation.
 	HeartbeatInterval time.Duration
-	// SerialIO disables the client data-path parallelism (the A5
-	// ablation baseline): page scatter and gather contact providers one
-	// at a time instead of fanning out concurrently.
-	SerialIO bool
-	// SerialPublish disables the version manager's group-commit
-	// pipeline and the batched ticket/publish client path (the A6
-	// ablation baseline): every version pays its own RequestTicket and
-	// Publish round trip, and the manager applies each call in its own
-	// lock acquisition and frontier pass.
-	SerialPublish bool
 	// TenantRate enables per-tenant token-bucket admission at the
 	// client edge: operations tagged with WithTenant are admitted at
 	// this many ops/sec per tenant (bucket depth TenantBurst) and
@@ -102,15 +90,6 @@ type Options struct {
 	// hot tenant's backlog. 0 (the default) drains everything queued
 	// in one pass — the historical behavior.
 	PublishDrainBatch int
-	// MetaCacheShards is the lock-stripe count of each client's
-	// metadata cache (rounded up to a power of two; default 16). 1
-	// reproduces the historical single-mutex cache — the A8 ablation
-	// baseline.
-	MetaCacheShards int
-	// UnpooledBuffers disables the data path's page-buffer pooling
-	// (every page assembly, batched-append extension and gather staging
-	// allocates fresh) — the A8 ablation baseline.
-	UnpooledBuffers bool
 }
 
 func (o *Options) fillDefaults() {
@@ -131,12 +110,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MetaVNodes < 1 {
 		o.MetaVNodes = 32
-	}
-	if o.PlacementInterval <= 0 {
-		o.PlacementInterval = o.RepairInterval
-	}
-	if o.MetaCacheShards < 1 {
-		o.MetaCacheShards = 16
 	}
 }
 
@@ -170,7 +143,6 @@ func NewDeployment(env cluster.Env, opts Options) (*Deployment, error) {
 		return nil, fmt.Errorf("core: deployment needs at least one provider node")
 	}
 	vm := NewVersionRouter(env, opts.VMNodes)
-	vm.SetSerialPublish(opts.SerialPublish)
 	vm.SetServiceTime(opts.VMServiceTime)
 	vm.SetApplyTime(opts.PublishApplyTime)
 	vm.SetDrainBatch(opts.PublishDrainBatch)
@@ -214,9 +186,6 @@ func (d *Deployment) startProvider(n cluster.NodeID) (*Provider, error) {
 	// owns its own directory under a disk spec, so a restarted provider
 	// reopens exactly the pages it persisted.
 	cfg.Store = store.SubSpec(cfg.Store, fmt.Sprintf("provider-%d", n))
-	if cfg.Dir != "" {
-		cfg.Dir = fmt.Sprintf("%s/provider-%d", d.Opts.Provider.Dir, n)
-	}
 	p, err := NewProvider(d.Env, n, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: provider on node %d: %w", n, err)
@@ -365,7 +334,7 @@ func (d *Deployment) NewClient(node cluster.NodeID) *Client {
 	return &Client{
 		d:     d,
 		node:  node,
-		meta:  newCachedMeta(d.Meta.NewClient(d.Env, node), d.Opts.MetaCacheShards, 1<<16),
+		meta:  newCachedMeta(d.Meta.NewClient(d.Env, node), metaCacheShards, 1<<16),
 		blobs: make(map[BlobID]*blobInfo),
 	}
 }

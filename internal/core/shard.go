@@ -74,14 +74,6 @@ func (r *VersionRouter) Shard(blob BlobID) *VersionManager {
 	return r.shards[r.ShardIndex(blob)]
 }
 
-// SetSerialPublish forwards the A6 ablation knob to every shard. Call
-// before concurrent use.
-func (r *VersionRouter) SetSerialPublish(serial bool) {
-	for _, s := range r.shards {
-		s.SetSerialPublish(serial)
-	}
-}
-
 // SetServiceTime forwards the modeled per-RPC processing occupancy to
 // every shard. Call before concurrent use.
 func (r *VersionRouter) SetServiceTime(d time.Duration) {

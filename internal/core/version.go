@@ -17,8 +17,7 @@
 // frontier once per batch and waking publishers and AwaitPublished
 // waiters in one sweep. The batched RPCs (RequestTickets,
 // PublishBatch) let clients amortize the manager round trip across
-// many in-flight writes; SerialPublish restores the one-call-one-pass
-// behavior for the A6 ablation.
+// many in-flight writes.
 package core
 
 import (
@@ -92,8 +91,7 @@ type VersionManager struct {
 	blobs  map[BlobID]*blobState
 
 	// Group-commit state: Publish/Abort requests queue here and a
-	// single drainer daemon applies them batch-wise. serial disables
-	// the queue (ablation A6) and restores per-call processing.
+	// single drainer daemon applies them batch-wise.
 	//
 	// The queue is fair across tenants: each enqueue call's requests
 	// form one atomic group filed under the tenant that ticketed them
@@ -103,7 +101,6 @@ type VersionManager struct {
 	// backlog's length. Groups are never split across passes: the
 	// batch-abort contiguous-prefix guarantee (see AbortBatch) needs a
 	// whole client batch to resolve under one lock hold.
-	serial   bool
 	queue    map[string][]pubGroup // per-tenant FIFO of enqueue groups
 	order    []string              // round-robin rotation of tenants with queued work
 	draining bool
@@ -217,12 +214,6 @@ func (vm *VersionManager) serve() {
 	vm.svcMu.Unlock()
 	vm.env.Sleep(end - now)
 }
-
-// SetSerialPublish disables (true) or enables (false) the group-commit
-// publish pipeline. Serial mode processes every Publish/Abort in its
-// own lock acquisition and frontier pass — the A6 ablation baseline.
-// Call before concurrent use.
-func (vm *VersionManager) SetSerialPublish(serial bool) { vm.serial = serial }
 
 // SetApplyTime sets the modeled per-request apply occupancy of the
 // group-commit drainer (see the applyTime field). Call before
@@ -372,18 +363,14 @@ func (b *blobState) historyDelta(since, v Version) []WriteRecord {
 // Publish declares version v's data and metadata fully written. It
 // blocks until v actually becomes visible, which happens once every
 // earlier version has been published or aborted — the version
-// manager's total-order guarantee. In group-commit mode (the default)
-// the call is enqueued and applied by the batch drainer. Cancellation
-// of ctx cuts the visibility wait short with an error matching
-// cluster.ErrCanceled; the version stays ready and will still publish
-// in ticket order unless the caller aborts it — the frontier never
-// depends on the canceled waiter.
+// manager's total-order guarantee. The call is enqueued and applied
+// by the group-commit drainer. Cancellation of ctx cuts the visibility
+// wait short with an error matching cluster.ErrCanceled; the version
+// stays ready and will still publish in ticket order unless the caller
+// aborts it — the frontier never depends on the canceled waiter.
 func (vm *VersionManager) Publish(ctx *cluster.Ctx, from cluster.NodeID, blob BlobID, v Version) error {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	if vm.serial {
-		return vm.publishSerial(ctx, blob, v)
-	}
 	req := &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
 	vm.enqueue([]*pubReq{req})
 	return vm.awaitPublishReq(ctx, req)
@@ -391,30 +378,22 @@ func (vm *VersionManager) Publish(ctx *cluster.Ctx, from cluster.NodeID, blob Bl
 
 // PublishBatchAsync marks versions of one blob ready for publication
 // without waiting for visibility — the AwaitPublication(false) path.
-// It returns once the drainer has applied the whole batch (or, in
-// serial mode, after marking each member): the versions will become
-// visible in ticket order, observable through AwaitPublished or any
-// later read. The first per-member error is returned.
+// It returns once the drainer has applied the whole batch: the
+// versions will become visible in ticket order, observable through
+// AwaitPublished or any later read. The first per-member error is
+// returned.
 func (vm *VersionManager) PublishBatchAsync(from cluster.NodeID, blob BlobID, vs []Version) error {
 	if len(vs) == 0 {
 		return nil
 	}
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	var first error
-	if vm.serial {
-		for _, v := range vs {
-			if _, _, err := vm.publishSerialStart(blob, v); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {
 		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
 	}
 	vm.enqueue(reqs)
+	var first error
 	for _, req := range reqs {
 		req.done.Wait() // applied by the drainer; bounded, never canceled
 		if req.err != nil && first == nil {
@@ -437,42 +416,6 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 	}
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	if vm.serial {
-		// Mark every member ready before waiting on any visibility:
-		// waiting inline would deadlock an out-of-order batch on its
-		// own unmarked members.
-		type memberWait struct {
-			v    Version
-			wait cluster.Signal
-			p    *pendingWrite
-		}
-		var first error
-		var waits []memberWait
-		for _, v := range vs {
-			wait, p, err := vm.publishSerialStart(blob, v)
-			if err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			if wait != nil {
-				waits = append(waits, memberWait{v: v, wait: wait, p: p})
-			}
-		}
-		for _, m := range waits {
-			if err := ctx.Wait(m.wait); err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			if err := vm.checkPublished(blob, m.v, m.p); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {
 		reqs[i] = &pubReq{blob: blob, v: v, done: vm.env.NewSignal()}
@@ -485,37 +428,6 @@ func (vm *VersionManager) PublishBatch(ctx *cluster.Ctx, from cluster.NodeID, bl
 		}
 	}
 	return first
-}
-
-// publishSerial is the ablation (SerialPublish) path: one lock
-// acquisition and one frontier pass per call.
-func (vm *VersionManager) publishSerial(ctx *cluster.Ctx, blob BlobID, v Version) error {
-	wait, p, err := vm.publishSerialStart(blob, v)
-	if err != nil || wait == nil {
-		return err
-	}
-	if err := ctx.Wait(wait); err != nil {
-		return err
-	}
-	return vm.checkPublished(blob, v, p)
-}
-
-// publishSerialStart marks v ready under its own lock acquisition and
-// frontier pass (the serial ablation's cost model); waiting for
-// visibility is the caller's job, so batches can mark every member
-// before blocking on any of them.
-func (vm *VersionManager) publishSerialStart(blob BlobID, v Version) (cluster.Signal, *pendingWrite, error) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
-	b, ok := vm.blobs[blob]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-	}
-	wait, p, err := vm.applyPublishLocked(b, blob, v)
-	if err == nil && wait != nil {
-		vm.advanceLocked(b)
-	}
-	return wait, p, err
 }
 
 // awaitPublishReq waits for the drainer to apply a queued publish and
@@ -572,24 +484,10 @@ func (vm *VersionManager) applyPublishLocked(b *blobState, blob BlobID, v Versio
 // and never becomes the visible snapshot. Aborting an already aborted
 // version is a no-op; an unknown version returns ErrNoSuchVersion and a
 // published one ErrAlreadyPublished (a visible snapshot cannot be
-// retracted). In group-commit mode the call rides the same queue as
-// Publish.
+// retracted). The call rides the same queue as Publish.
 func (vm *VersionManager) Abort(from cluster.NodeID, blob BlobID, v Version) error {
 	vm.env.RTT(from, vm.node)
 	vm.serve()
-	if vm.serial {
-		vm.mu.Lock()
-		defer vm.mu.Unlock()
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-		}
-		err := vm.applyAbortLocked(b, blob, v)
-		if err == nil {
-			vm.advanceLocked(b)
-		}
-		return err
-	}
 	req := &pubReq{blob: blob, v: v, abort: true, done: vm.env.NewSignal()}
 	vm.enqueue([]*pubReq{req})
 	req.done.Wait()
@@ -637,14 +535,13 @@ func (vm *VersionManager) IsAborted(from cluster.NodeID, blob BlobID, v Version)
 
 // AbortBatch tombstones every still-pending member of one blob's
 // version batch in a single round trip. All members are resolved under
-// one lock acquisition (the serial path locks once; the group-commit
-// path enters the drainer queue together, and the drainer applies a
-// whole batch under one lock hold), which yields the guarantee the
-// client's failure reporting relies on: since the publication frontier
-// also only moves under that lock, the members of a contiguously-
-// ticketed batch that remain published afterwards form a contiguous
-// prefix — a canceled batch can never leave a published member
-// stranded past an aborted one. Already-aborted members are skipped
+// one lock acquisition (the batch enters the drainer queue together,
+// and the drainer applies a whole batch under one lock hold), which
+// yields the guarantee the client's failure reporting relies on: since
+// the publication frontier also only moves under that lock, the
+// members of a contiguously-ticketed batch that remain published
+// afterwards form a contiguous prefix — a canceled batch can never
+// leave a published member stranded past an aborted one. Already-aborted members are skipped
 // idempotently and already-published ones are left alone (a visible
 // snapshot cannot be retracted); the first other error is returned.
 func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Version) error {
@@ -655,22 +552,6 @@ func (vm *VersionManager) AbortBatch(from cluster.NodeID, blob BlobID, vs []Vers
 	vm.serve()
 	tolerable := func(err error) bool {
 		return err == nil || errors.Is(err, ErrAlreadyPublished)
-	}
-	if vm.serial {
-		vm.mu.Lock()
-		defer vm.mu.Unlock()
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlob, blob)
-		}
-		var first error
-		for _, v := range vs {
-			if err := vm.applyAbortLocked(b, blob, v); !tolerable(err) && first == nil {
-				first = err
-			}
-		}
-		vm.advanceLocked(b)
-		return first
 	}
 	reqs := make([]*pubReq, len(vs))
 	for i, v := range vs {

@@ -407,30 +407,25 @@ func TestPublishBatchWithAbortedMember(t *testing.T) {
 	}
 }
 
-// TestSerialPublishModeEquivalence: with SetSerialPublish the same
-// sequences produce identical outcomes (the knob changes scheduling,
-// never semantics).
-func TestSerialPublishModeEquivalence(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		vm := localVM()
-		vm.SetSerialPublish(serial)
-		id, _ := vm.CreateBlob(0, 100)
-		ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
-		if err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		// Publish in reverse ticket order: both modes must mark every
-		// member before waiting, or the batch would deadlock on itself.
-		if err := vm.PublishBatch(bg, 0, id, []Version{ts[1].Record.Version, ts[0].Record.Version}); err != nil {
-			t.Fatalf("serial=%v: %v", serial, err)
-		}
-		v, size, err := vm.Latest(0, id)
-		if err != nil || v != 2 || size != 50 {
-			t.Fatalf("serial=%v: Latest = %d/%d, %v", serial, v, size, err)
-		}
-		if err := vm.Abort(0, id, 1); !errors.Is(err, ErrAlreadyPublished) {
-			t.Fatalf("serial=%v: abort published = %v", serial, err)
-		}
+// TestPublishBatchReverseOrder: a batch listing its versions in
+// reverse ticket order must not deadlock on its own unmarked members,
+// and once published a version can no longer be aborted.
+func TestPublishBatchReverseOrder(t *testing.T) {
+	vm := localVM()
+	id, _ := vm.CreateBlob(0, 100)
+	ts, err := vm.RequestTickets(0, id, []WriteIntent{{Off: -1, Length: 25}, {Off: -1, Length: 25}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.PublishBatch(bg, 0, id, []Version{ts[1].Record.Version, ts[0].Record.Version}); err != nil {
+		t.Fatal(err)
+	}
+	v, size, err := vm.Latest(0, id)
+	if err != nil || v != 2 || size != 50 {
+		t.Fatalf("Latest = %d/%d, %v", v, size, err)
+	}
+	if err := vm.Abort(0, id, 1); !errors.Is(err, ErrAlreadyPublished) {
+		t.Fatalf("abort published = %v", err)
 	}
 }
 

@@ -34,6 +34,7 @@
 //
 // New(1, capacity) degrades to a single mutex + one LRU list over the
 // whole capacity — byte-for-byte the behavior of the historical
-// single-lock client metadata cache, kept as the A8 ablation baseline
-// and the -meta-cache-shards=1 operational mode.
+// single-lock client metadata cache. The client runs 16 stripes;
+// TestShardedNotSlowerThanSingleStripe keeps the single-stripe
+// configuration as the throughput baseline they must not fall below.
 package stripecache
