@@ -1,18 +1,26 @@
-// Command bsfs-bench regenerates the paper's microbenchmark figures
-// (E1 distinct-file reads, E2 shared-file reads, E3 distinct-file
-// writes), the extensions (X1 concurrent appends, X2 shared-blob
-// publish throughput, X3 provider failure/churn with replica repair,
-// X5 sharded version-manager scaling, X6 membership churn, X7 tiered
-// storage recovery over durable backends, X8 heavy-traffic serving
-// with admission control) and the ablation studies (A1 placement, A2
-// client cache, A3 page size, A4 HDFS write-through, A7 sharded vs
-// centralized version management) on a simulated Grid'5000-style
-// cluster. -list prints the registry these ids come from.
+// Command bsfs-bench regenerates the paper's evaluation on a
+// simulated Grid'5000-style cluster: the microbenchmark figures (E1
+// distinct-file reads, E2 shared-file reads, E3 distinct-file writes),
+// the MapReduce application benchmarks (E4 Random Text Writer, E5
+// Distributed Grep; job completion time with -clients maps of -size MB
+// each), the extensions (X1 concurrent appends, X2 shared-blob publish
+// throughput, X3 provider failure/churn with replica repair, X4
+// concurrent MapReduce jobs on different snapshots, X5 sharded
+// version-manager scaling, X6 membership churn, X7 tiered storage
+// recovery over durable backends, X8 heavy-traffic serving with
+// admission control) and the ablation studies (A1 placement, A2 client
+// cache, A3 page size, A4 HDFS write-through, A7 sharded vs
+// centralized version management). -list prints the registry these
+// ids come from.
+//
+// Each experiment's table prints as it finishes. When one fails, what
+// it measured is still rendered before the command exits 1.
 //
 // Usage:
 //
 //	bsfs-bench                          # run everything at paper scale
 //	bsfs-bench -exp e3                  # one experiment
+//	bsfs-bench -exp e4 -clients 250     # RTW job with 250 maps
 //	bsfs-bench -clients 1,50,250        # custom sweep
 //	bsfs-bench -size 256 -nodes 90      # reduced scale (MB per client)
 //	bsfs-bench -replicas 3              # replicated deployments
@@ -105,31 +113,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		todo = []bench.Experiment{e}
 	}
 
-	// Tables and banners go to stdout unless stdout carries CSV, which
-	// is rendered from the recorded points once every experiment ran.
-	tables := stdout
-	if *csv {
-		tables = io.Discard
-	}
+	// Tables go to stdout as each experiment finishes unless stdout
+	// carries CSV, which is rendered once every experiment ran.
 	var results []bench.ExperimentResult
-	var points []bench.Point
+	status := 0
 	for _, e := range todo {
-		fmt.Fprintf(tables, "\n--- %s ---\n", e.Title)
-		rec := &bench.Recorder{Writer: tables}
-		if err := e.Run(opts, rec); err != nil {
-			fmt.Fprintf(stderr, "bsfs-bench: %s: %v\n", e.ID, err)
-			return 1
+		res, err := e.Run(opts)
+		res.ID, res.Title = e.ID, e.Title
+		results = append(results, res)
+		if !*csv {
+			bench.WriteTable(stdout, res)
 		}
-		results = append(results, bench.NewExperimentResult(e, rec))
-		points = append(points, rec.Points...)
+		if err != nil {
+			fmt.Fprintf(stderr, "bsfs-bench: %s: %v\n", e.ID, err)
+			status = 1
+			break
+		}
 	}
 	if *csv {
-		bench.WritePointsCSV(stdout, points)
+		bench.WriteCSV(stdout, results)
 	}
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err == nil {
-			err = bench.WriteResultsJSON(f, opts, results)
+			err = bench.WriteJSON(f, opts, results)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -138,7 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bsfs-bench: writing %s: %v\n", *jsonPath, err)
 			return 1
 		}
-		fmt.Fprintf(tables, "\nwrote %s\n", *jsonPath)
+		if !*csv {
+			fmt.Fprintf(stdout, "\nwrote %s\n", *jsonPath)
+		}
 	}
-	return 0
+	return status
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/bsfs"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/mapreduce"
@@ -43,46 +44,51 @@ type AppResult struct {
 	Counters   mapreduce.Counters
 }
 
-// newMRCluster starts the MapReduce framework over the testbed's
-// storage.
-func newMRCluster(tb *Testbed) (*mapreduce.Cluster, error) {
-	return mapreduce.NewCluster(tb.Env, mapreduce.Config{
-		JobTrackerNode: 0,
-		WorkerNodes:    storageNodes(tb.Spec.Nodes),
-		MapSlots:       2,
-		ReduceSlots:    1,
-		NewFS:          tb.NewFS,
+// onMapReduce builds a fresh testbed and runs body as its root sim
+// process with the MapReduce framework started over the storage.
+func onMapReduce[T any](opts AppOpts, body func(tb *Testbed, mr *mapreduce.Cluster) (T, error)) (T, error) {
+	var out T
+	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	if err != nil {
+		return out, err
+	}
+	var runErr error
+	err = tb.Run(func() {
+		mr, err := mapreduce.NewCluster(tb.Env, mapreduce.Config{
+			JobTrackerNode: 0,
+			WorkerNodes:    storageNodes(tb.Spec.Nodes),
+			MapSlots:       2,
+			ReduceSlots:    1,
+			NewFS:          tb.NewFS,
+		})
+		if err != nil {
+			runErr = err
+			return
+		}
+		out, runErr = body(tb, mr)
 	})
+	if err == nil {
+		err = runErr
+	}
+	return out, err
+}
+
+// submit runs one job and reports it as the experiment's result.
+func submit(tb *Testbed, mr *mapreduce.Cluster, experiment string, job mapreduce.JobConfig) (AppResult, error) {
+	r, err := mr.Submit(job)
+	if err != nil {
+		return AppResult{}, err
+	}
+	return AppResult{Experiment: experiment, Kind: tb.Kind, Maps: r.Counters.MapTasks, Completion: r.Duration, Counters: r.Counters}, nil
 }
 
 // RunRandomTextWriter is experiment E4: the map-only generator job
 // whose access pattern is massively parallel writes to different files.
 func RunRandomTextWriter(opts AppOpts) (AppResult, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
-	if err != nil {
-		return AppResult{}, err
-	}
-	var res AppResult
-	var runErr error
-	err = tb.Run(func() {
-		mr, err := newMRCluster(tb)
-		if err != nil {
-			runErr = err
-			return
-		}
-		job := apps.RandomTextWriter("/rtw-out", opts.Maps, opts.BytesPerMap, true)
-		r, err := mr.Submit(job)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res = AppResult{Experiment: "E4-random-text-writer", Kind: tb.Kind, Maps: opts.Maps, Completion: r.Duration, Counters: r.Counters}
+	return onMapReduce(opts, func(tb *Testbed, mr *mapreduce.Cluster) (AppResult, error) {
+		return submit(tb, mr, "E4-random-text-writer", apps.RandomTextWriter("/rtw-out", opts.Maps, opts.BytesPerMap, true))
 	})
-	if err == nil {
-		err = runErr
-	}
-	return res, err
 }
 
 // RunDistributedGrep is experiment E5: generate the input with Random
@@ -90,134 +96,106 @@ func RunRandomTextWriter(opts AppOpts) (AppResult, error) {
 // then scan it; its access pattern is highly concurrent reads.
 func RunDistributedGrep(opts AppOpts) (AppResult, error) {
 	opts.fillDefaults()
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
-	if err != nil {
-		return AppResult{}, err
-	}
-	var res AppResult
-	var runErr error
-	err = tb.Run(func() {
-		mr, err := newMRCluster(tb)
-		if err != nil {
-			runErr = err
-			return
-		}
+	return onMapReduce(opts, func(tb *Testbed, mr *mapreduce.Cluster) (AppResult, error) {
 		// Input generation (not measured).
 		gen := apps.RandomTextWriter("/grep-in", opts.Maps, opts.BytesPerMap, true)
 		if _, err := mr.Submit(gen); err != nil {
-			runErr = fmt.Errorf("bench: grep input generation: %w", err)
-			return
+			return AppResult{}, fmt.Errorf("bench: grep input generation: %w", err)
 		}
-		job := apps.SyntheticGrep([]string{"/grep-in"}, "/grep-out")
-		r, err := mr.Submit(job)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res = AppResult{Experiment: "E5-distributed-grep", Kind: tb.Kind, Maps: r.Counters.MapTasks, Completion: r.Duration, Counters: r.Counters}
+		return submit(tb, mr, "E5-distributed-grep", apps.SyntheticGrep([]string{"/grep-in"}, "/grep-out"))
 	})
-	if err == nil {
-		err = runErr
-	}
-	return res, err
 }
 
 // RunSnapshotWorkflow is extension X4 (§V): two grep jobs run
 // concurrently over two different snapshots of one dataset while a
 // writer keeps appending to it — only expressible on a versioning
-// storage layer. Returns the two job completion times; correctness
-// (each job sees exactly its snapshot's size) is asserted inside.
+// storage layer. Returns the two jobs' results, snapshot 1's first;
+// each job's input bytes are its snapshot's size.
 func RunSnapshotWorkflow(opts AppOpts) ([]AppResult, error) {
 	opts.fillDefaults()
 	if opts.Storage.Kind != "bsfs" {
 		return nil, fmt.Errorf("bench: X4 requires versioning storage (bsfs), got %q", opts.Storage.Kind)
 	}
-	tb, err := NewTestbed(opts.Spec, opts.Storage)
+	return onMapReduce(opts, func(tb *Testbed, mr *mapreduce.Cluster) ([]AppResult, error) {
+		return snapshotWorkflow(tb, mr, opts)
+	})
+}
+
+// x4Path is the dataset the X4 jobs and writer share.
+const x4Path = "/x4/data"
+
+// snapshotWorkflow is the body of X4 on a bsfs testbed.
+func snapshotWorkflow(tb *Testbed, mr *mapreduce.Cluster, opts AppOpts) ([]AppResult, error) {
+	fs := tb.bsfsSvc.NewFS(0)
+	half := opts.BytesPerMap * int64(opts.Maps) / 2
+
+	// Snapshot 1: first half of the dataset.
+	if err := writeSynthFile(tb, 0, x4Path, half); err != nil {
+		return nil, err
+	}
+	snap1, err := latestVersion(fs, x4Path)
 	if err != nil {
 		return nil, err
 	}
-	var results []AppResult
-	var runErr error
-	err = tb.Run(func() {
-		mr, err := newMRCluster(tb)
-		if err != nil {
-			runErr = err
-			return
-		}
-		fs := tb.bsfsSvc.NewFS(0)
-		half := opts.BytesPerMap * int64(opts.Maps) / 2
-
-		// Snapshot 1: first half of the dataset.
-		if err := writeSynthFile(tb, 0, "/x4/data", half); err != nil {
-			runErr = err
-			return
-		}
-		v1s, err := fs.Versions("/x4/data")
-		if err != nil || len(v1s) == 0 {
-			runErr = fmt.Errorf("bench: snapshot 1: %v", err)
-			return
-		}
-		snap1 := v1s[len(v1s)-1]
-
-		// Snapshot 2: the full dataset.
-		aw, err := fs.Append("/x4/data")
-		if err != nil {
-			runErr = err
-			return
-		}
-		aw.WriteSynthetic(half)
-		if err := aw.Close(); err != nil {
-			runErr = err
-			return
-		}
-		v2s, _ := fs.Versions("/x4/data")
-		snap2 := v2s[len(v2s)-1]
-
-		wg := tb.Env.NewWaitGroup()
-		var resMu chan struct{} // results appended under wg serialization via channel token
-		resMu = make(chan struct{}, 1)
-		resMu <- struct{}{}
-		runGrep := func(idx int, snap core.Version, out string) {
-			wg.Go(func() {
-				job := apps.SyntheticGrep([]string{"/x4/data"}, out)
-				job.Name = fmt.Sprintf("grep-snap%d", idx)
-				job.OpenInput = openSnapshot(snap)
-				r, err := mr.Submit(job)
-				if err != nil {
-					if runErr == nil {
-						runErr = err
-					}
-					return
-				}
-				<-resMu
-				results = append(results, AppResult{
-					Experiment: fmt.Sprintf("X4-snapshot-grep-%d", idx),
-					Kind:       tb.Kind,
-					Maps:       r.Counters.MapTasks,
-					Completion: r.Duration,
-					Counters:   r.Counters,
-				})
-				resMu <- struct{}{}
-			})
-		}
-		// A concurrent writer keeps growing the dataset while both
-		// jobs run on their frozen snapshots.
-		wg.Go(func() {
-			aw, err := fs.Append("/x4/data")
-			if err != nil {
-				return
-			}
-			aw.WriteSynthetic(half / 2)
-			aw.Close()
-		})
-		runGrep(1, snap1, "/x4/out1")
-		runGrep(2, snap2, "/x4/out2")
-		wg.Wait()
-	})
-	if err == nil {
-		err = runErr
+	// Snapshot 2: the full dataset.
+	if err := appendSynth(fs, x4Path, half); err != nil {
+		return nil, err
 	}
-	return results, err
+	snap2, err := latestVersion(fs, x4Path)
+	if err != nil {
+		return nil, err
+	}
+
+	jobs := make([]AppResult, 2)
+	var runErr firstError
+	wg := tb.Env.NewWaitGroup()
+	// A concurrent writer keeps growing the dataset while both jobs
+	// run on their frozen snapshots.
+	wg.Go(func() {
+		if err := appendSynth(fs, x4Path, half/2); err != nil {
+			runErr.set(fmt.Errorf("bench: x4 concurrent writer: %w", err))
+		}
+	})
+	for i, snap := range []core.Version{snap1, snap2} {
+		wg.Go(func() {
+			job := apps.SyntheticGrep([]string{x4Path}, fmt.Sprintf("/x4/out%d", i+1))
+			job.Name = fmt.Sprintf("grep-snap%d", i+1)
+			job.OpenInput = openSnapshot(snap)
+			r, err := submit(tb, mr, fmt.Sprintf("X4-snapshot-grep-%d", i+1), job)
+			runErr.set(err)
+			jobs[i] = r
+		})
+	}
+	wg.Wait()
+	if err := runErr.get(); err != nil {
+		return nil, err
+	}
+	return jobs, nil
+}
+
+// latestVersion returns the newest published snapshot of a file.
+func latestVersion(fs *bsfs.FS, path string) (core.Version, error) {
+	vs, err := fs.Versions(path)
+	if err == nil && len(vs) == 0 {
+		err = fmt.Errorf("bench: %s has no versions", path)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return vs[len(vs)-1], nil
+}
+
+// appendSynth appends n synthetic bytes to an existing file.
+func appendSynth(fs fsapi.FileSystem, path string, n int64) error {
+	w, err := fs.Append(path)
+	if err != nil {
+		return err
+	}
+	if _, err := w.WriteSynthetic(n); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
 }
 
 // openSnapshot returns an OpenInput hook pinning a snapshot version,

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bsfs"
@@ -267,6 +268,28 @@ func (tb *Testbed) loaderNode(client cluster.NodeID) cluster.NodeID {
 func (tb *Testbed) Run(body func()) error {
 	tb.Eng.Go(body)
 	return tb.Eng.Run()
+}
+
+// firstError keeps the first error reported by a run's sim processes,
+// which are real goroutines between engine blocking points.
+type firstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+// set records err unless an earlier error is kept; nil is ignored.
+func (f *firstError) set(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+}
+
+func (f *firstError) get() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // Point is one measured sweep point of a microbenchmark.

@@ -2,10 +2,14 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/fsapi"
+	"repro/internal/mapreduce"
 )
 
 // Reduced-scale versions of the paper's experiments: 60 nodes, 128 MB
@@ -104,6 +108,28 @@ func TestX1AppendSharedWorksOnlyOnBSFS(t *testing.T) {
 	}
 }
 
+// TestX1AssertsRefusalSentinel: the registered X1 run passes, and its
+// HDFS check accepts the typed fsapi.ErrNotSupported under any message
+// while rejecting nil and a look-alike message without the sentinel.
+func TestX1AssertsRefusalSentinel(t *testing.T) {
+	e, _ := FindExperiment("x1")
+	res, err := e.Run(SweepOpts{Clients: []int{2}, BytesPerClient: 4 * MB, Spec: ClusterSpec{Nodes: 12}, MemCapacity: 16 * MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 1 {
+		t.Fatalf("x1 points = %+v", res.Points)
+	}
+	if err := hdfsRefused(fmt.Errorf("%w: reworded", fsapi.ErrNotSupported)); err != nil {
+		t.Fatalf("wrapped sentinel rejected: %v", err)
+	}
+	for _, bad := range []error{nil, errors.New(fsapi.ErrNotSupported.Error() + ": hdfs append")} {
+		if hdfsRefused(bad) == nil {
+			t.Fatalf("hdfsRefused(%v) accepted an error without the sentinel", bad)
+		}
+	}
+}
+
 func TestE4RandomTextWriter(t *testing.T) {
 	opts := AppOpts{Maps: 20, BytesPerMap: 128 * MB, Spec: ClusterSpec{Nodes: 60, MetaNodes: 8}}
 	opts.Storage = StorageOpts{Kind: "bsfs"}
@@ -165,6 +191,31 @@ func TestX4SnapshotWorkflow(t *testing.T) {
 	}
 	if in1 <= 0 || in2 != 2*in1 {
 		t.Fatalf("snapshot isolation broken: inputs %d vs %d (want 1:2)", in1, in2)
+	}
+}
+
+// TestX4ConcurrentWriterLands: the writer racing the two snapshot
+// jobs really appends — the dataset ends larger than snapshot 2 by
+// exactly the written bytes.
+func TestX4ConcurrentWriterLands(t *testing.T) {
+	opts := AppOpts{Maps: 4, BytesPerMap: 16 * MB, Spec: ClusterSpec{Nodes: 20, MetaNodes: 4}, Storage: StorageOpts{Kind: "bsfs"}}
+	_, err := onMapReduce(opts, func(tb *Testbed, mr *mapreduce.Cluster) (struct{}, error) {
+		jobs, err := snapshotWorkflow(tb, mr, opts)
+		if err != nil {
+			return struct{}{}, err
+		}
+		fi, err := tb.NewFS(0).Stat(x4Path)
+		if err != nil {
+			return struct{}{}, err
+		}
+		snap2 := jobs[1].Counters.InputBytes
+		if want := snap2 + opts.BytesPerMap*int64(opts.Maps)/4; fi.Size != want {
+			t.Errorf("final size %d, snapshot 2 %d: want %d", fi.Size, snap2, want)
+		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

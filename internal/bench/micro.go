@@ -53,7 +53,7 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var netBytes, diskBytes int64
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		// Load phase: each file written by the node opposite its
 		// reader on the ring.
@@ -62,13 +62,11 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 			loader := tb.loaderNode(c)
 			path := fmt.Sprintf("/e1/f%04d", i)
 			wg.Go(func() {
-				if err := writeSynthFile(tb, loader, path, opts.BytesPerClient); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(writeSynthFile(tb, loader, path, opts.BytesPerClient))
 			})
 		}
 		wg.Wait()
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		tb.Env.Sleep(settleTime)
@@ -81,9 +79,7 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 			path := fmt.Sprintf("/e1/f%04d", i)
 			wg.Go(func() {
 				t0 := tb.Env.Now()
-				if err := readSynthFile(tb, c, path, 0, opts.BytesPerClient, opts.RecordSize); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(readSynthFile(tb, c, path, 0, opts.BytesPerClient, opts.RecordSize))
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
@@ -93,7 +89,7 @@ func RunReadDistinct(opts MicroOpts) (Point, error) {
 		netBytes, diskBytes = net1-net0, disk1-disk0
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	p := summarize("E1-read-distinct", tb.Kind, opts.BytesPerClient, durations, makespan)
 	p.NetBytes, p.DiskBytes = netBytes, diskBytes
@@ -113,12 +109,12 @@ func RunReadShared(opts MicroOpts) (Point, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var netBytes, diskBytes int64
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		// Load phase: one huge file written from the master node (not
 		// a storage node, so HDFS places chunks fleet-wide).
 		if err := writeSynthFile(tb, 0, "/e2/huge", total); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		tb.Env.Sleep(settleTime)
@@ -129,9 +125,7 @@ func RunReadShared(opts MicroOpts) (Point, error) {
 			off := int64(i) * opts.BytesPerClient
 			wg.Go(func() {
 				t0 := tb.Env.Now()
-				if err := readSynthFile(tb, c, "/e2/huge", off, opts.BytesPerClient, opts.RecordSize); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(readSynthFile(tb, c, "/e2/huge", off, opts.BytesPerClient, opts.RecordSize))
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
@@ -141,7 +135,7 @@ func RunReadShared(opts MicroOpts) (Point, error) {
 		netBytes, diskBytes = net1-net0, disk1-disk0
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	p := summarize("E2-read-shared", tb.Kind, opts.BytesPerClient, durations, makespan)
 	p.NetBytes, p.DiskBytes = netBytes, diskBytes
@@ -160,7 +154,7 @@ func RunWriteDistinct(opts MicroOpts) (Point, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var netBytes, diskBytes int64
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		net0, disk0 := resourceSnapshot(tb)
 		start := tb.Env.Now()
@@ -169,9 +163,7 @@ func RunWriteDistinct(opts MicroOpts) (Point, error) {
 			path := fmt.Sprintf("/e3/out%04d", i)
 			wg.Go(func() {
 				t0 := tb.Env.Now()
-				if err := writeSynthFile(tb, c, path, opts.BytesPerClient); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(writeSynthFile(tb, c, path, opts.BytesPerClient))
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
@@ -181,7 +173,7 @@ func RunWriteDistinct(opts MicroOpts) (Point, error) {
 		netBytes, diskBytes = net1-net0, disk1-disk0
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	p := summarize("E3-write-distinct", tb.Kind, opts.BytesPerClient, durations, makespan)
 	p.NetBytes, p.DiskBytes = netBytes, diskBytes
@@ -202,16 +194,16 @@ func RunAppendShared(opts MicroOpts) (Point, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var netBytes, diskBytes int64
-	var runErr error
+	var runErr firstError
 	err = tb.Run(func() {
 		fs := tb.NewFS(0)
 		w, err := fs.Create("/x1/shared")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		if err := w.Close(); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		net0, disk0 := resourceSnapshot(tb)
@@ -223,17 +215,13 @@ func RunAppendShared(opts MicroOpts) (Point, error) {
 				cfs := tb.NewFS(c)
 				aw, err := cfs.Append("/x1/shared")
 				if err != nil {
-					if runErr == nil {
-						runErr = err
-					}
+					runErr.set(err)
 					return
 				}
-				if _, err := aw.WriteSynthetic(opts.BytesPerClient); err != nil && runErr == nil {
-					runErr = err
+				if _, err := aw.WriteSynthetic(opts.BytesPerClient); err != nil {
+					runErr.set(err)
 				}
-				if err := aw.Close(); err != nil && runErr == nil {
-					runErr = err
-				}
+				runErr.set(aw.Close())
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
@@ -244,12 +232,12 @@ func RunAppendShared(opts MicroOpts) (Point, error) {
 
 		// Validate the tiling: total size must equal the sum of appends.
 		fi, err := tb.NewFS(0).Stat("/x1/shared")
-		if err == nil && fi.Size != opts.BytesPerClient*int64(opts.Clients) && runErr == nil {
-			runErr = fmt.Errorf("bench: shared append lost data: size %d", fi.Size)
+		if err == nil && fi.Size != opts.BytesPerClient*int64(opts.Clients) {
+			runErr.set(fmt.Errorf("bench: shared append lost data: size %d", fi.Size))
 		}
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	p := summarize("X1-append-shared", tb.Kind, opts.BytesPerClient, durations, makespan)
 	p.NetBytes, p.DiskBytes = netBytes, diskBytes

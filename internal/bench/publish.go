@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -25,12 +24,13 @@ type PublishOpts struct {
 	// (default 1 MB — small enough that version-manager round trips
 	// are a visible share of each commit).
 	BlockSize int64
-	// MaxInFlightBlocks is the writer pipeline depth and therefore the
-	// publish batch size ceiling (default 8).
-	MaxInFlightBlocks int
-	Storage           StorageOpts
-	Spec              ClusterSpec
+	Storage   StorageOpts
+	Spec      ClusterSpec
 }
+
+// writerPipelineDepth is the X2/X5 writers' pipeline depth and
+// therefore the publish batch size ceiling.
+const writerPipelineDepth = 8
 
 func (o *PublishOpts) fillDefaults() {
 	if o.Clients <= 0 {
@@ -42,12 +42,9 @@ func (o *PublishOpts) fillDefaults() {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 1 * MB
 	}
-	if o.MaxInFlightBlocks <= 0 {
-		o.MaxInFlightBlocks = 8
-	}
 	o.Storage.Kind = "bsfs" // the scenario exercises BlobSeer's version manager
 	o.Storage.BlockSize = o.BlockSize
-	o.Storage.MaxInFlightBlocks = o.MaxInFlightBlocks
+	o.Storage.MaxInFlightBlocks = writerPipelineDepth
 }
 
 // PublishResult is the outcome of one shared-blob publish run.
@@ -77,27 +74,16 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 	durations := make([]time.Duration, opts.Clients)
 	var makespan time.Duration
 	var versions int
-	// Writers are concurrent sim processes (real goroutines between
-	// engine blocking points), so the shared first-error slot needs a
-	// lock.
-	var errMu sync.Mutex
-	var runErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
+	var runErr firstError
 	err = tb.Run(func() {
 		fs := tb.NewFS(0)
 		w, err := fs.Create("/x2/shared")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		if err := w.Close(); err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		start := tb.Env.Now()
@@ -108,37 +94,37 @@ func RunPublishShared(opts PublishOpts) (PublishResult, error) {
 				cfs := tb.NewFS(c)
 				aw, err := cfs.Append("/x2/shared")
 				if err != nil {
-					setErr(err)
+					runErr.set(err)
 					return
 				}
 				for b := 0; b < opts.BlocksPerClient; b++ {
 					if _, err := aw.WriteSynthetic(opts.BlockSize); err != nil {
-						setErr(err)
+						runErr.set(err)
 					}
 				}
 				if err := aw.Close(); err != nil {
-					setErr(err)
+					runErr.set(err)
 				}
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
 		wg.Wait()
 		makespan = tb.Env.Now() - start
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		vs, err := tb.bsfsSvc.NewFS(0).Versions("/x2/shared")
 		if err != nil {
-			runErr = err
+			runErr.set(err)
 			return
 		}
 		versions = len(vs)
 		if want := opts.Clients * opts.BlocksPerClient; versions != want {
-			runErr = fmt.Errorf("bench: x2 published %d versions, want %d", versions, want)
+			runErr.set(fmt.Errorf("bench: x2 published %d versions, want %d", versions, want))
 		}
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	res := PublishResult{
 		Point:    summarize("X2-publish-shared", tb.Kind, perClient, durations, makespan),

@@ -1,23 +1,25 @@
 // report.go renders experiment results as the tables/series the paper
-// reports.
+// reports. Every output format — aligned tables, CSV and JSON — is one
+// function over ExperimentResult.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"text/tabwriter"
 	"time"
 )
 
-// Recorder tees an experiment's rendered output while capturing the
-// structured results behind it. Pass one as the writer to
-// Experiment.Run: WritePointsTable feeds it every sweep point, and
-// experiments with scalar results (x2, x3, x5, x6, x7, x8, a7) record
-// named metrics. Serialize with WriteResultsJSON (bsfs-bench -json).
-type Recorder struct {
-	io.Writer
+// ExperimentResult is everything one experiment measured: its sweep
+// points, its MapReduce job rows and its named scalar metrics.
+type ExperimentResult struct {
+	ID      string
+	Title   string
 	Points  []Point
+	Jobs    []AppResult
 	Metrics []Metric
 }
 
@@ -28,59 +30,72 @@ type Metric struct {
 	Value float64 `json:"value"`
 }
 
-// recordPoints hands structured points to the writer when it is a
-// Recorder; plain writers just get the rendered table.
-func recordPoints(w io.Writer, pts []Point) {
-	if r, ok := w.(*Recorder); ok {
-		r.Points = append(r.Points, pts...)
+// metric appends one named scalar result.
+func (r *ExperimentResult) metric(name, unit string, value float64) {
+	r.Metrics = append(r.Metrics, Metric{Name: name, Unit: unit, Value: value})
+}
+
+// WriteTable renders one result under its title: the sweep points (the
+// series behind the paper's throughput figures), the job rows (its job
+// completion time comparison), then the metrics.
+func WriteTable(w io.Writer, r ExperimentResult) {
+	fmt.Fprintf(w, "\n--- %s ---\n", r.Title)
+	if len(r.Points) > 0 {
+		fmt.Fprintln(w)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "experiment\tfs\tclients\tper-client MB/s\tmin\tmax\taggregate MB/s\tmakespan\tnet\tdisk")
+		for _, p := range r.Points {
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%s\t%s\t%s\n",
+				p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps,
+				p.Duration.Round(timeUnit(p.Duration)), size(p.NetBytes), size(p.DiskBytes))
+		}
+		tw.Flush()
+	}
+	if len(r.Jobs) > 0 {
+		fmt.Fprintln(w)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "experiment\tfs\tmaps\tcompletion\tinput\tshuffle\toutput\tlocal/rack/remote")
+		for _, j := range r.Jobs {
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d/%d/%d\n",
+				j.Experiment, j.Kind, j.Maps, j.Completion.Round(timeUnit(j.Completion)),
+				size(j.Counters.InputBytes), size(j.Counters.ShuffleBytes), size(j.Counters.OutputBytes),
+				j.Counters.DataLocal, j.Counters.RackLocal, j.Counters.Remote)
+		}
+		tw.Flush()
+	}
+	if len(r.Metrics) > 0 {
+		fmt.Fprintln(w)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "metric\tvalue\tunit")
+		for _, m := range r.Metrics {
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", m.Name, metricValue(m.Value), m.Unit)
+		}
+		tw.Flush()
 	}
 }
 
-// recordMetric captures one scalar result when the writer is a
-// Recorder.
-func recordMetric(w io.Writer, name, unit string, value float64) {
-	if r, ok := w.(*Recorder); ok {
-		r.Metrics = append(r.Metrics, Metric{Name: name, Unit: unit, Value: value})
+// metricValue prints whole values without a fraction and the rest to
+// six significant digits.
+func metricValue(v float64) string {
+	if v == math.Trunc(v) {
+		return strconv.FormatFloat(v, 'f', 0, 64)
 	}
+	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// WritePointsTable renders microbenchmark sweep points grouped by
-// storage kind, one row per (kind, clients) — the series behind the
-// paper's throughput figures.
-func WritePointsTable(w io.Writer, title string, points []Point) {
-	recordPoints(w, points)
-	fmt.Fprintf(w, "\n== %s ==\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "experiment\tfs\tclients\tper-client MB/s\tmin\tmax\taggregate MB/s\tmakespan\tnet\tdisk")
-	for _, p := range points {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%s\t%s\t%s\n",
-			p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps,
-			p.Duration.Round(timeUnit(p.Duration)), size(p.NetBytes), size(p.DiskBytes))
-	}
-	tw.Flush()
-}
-
-// WriteAppTable renders application benchmark results — the paper's
-// job completion time comparison.
-func WriteAppTable(w io.Writer, title string, results []AppResult) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "experiment\tfs\tmaps\tcompletion\tinput\tshuffle\toutput\tlocal/rack/remote")
-	for _, r := range results {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d/%d/%d\n",
-			r.Experiment, r.Kind, r.Maps, r.Completion.Round(timeUnit(r.Completion)),
-			size(r.Counters.InputBytes), size(r.Counters.ShuffleBytes), size(r.Counters.OutputBytes),
-			r.Counters.DataLocal, r.Counters.RackLocal, r.Counters.Remote)
-	}
-	tw.Flush()
-}
-
-// WritePointsCSV emits machine-readable sweep data.
-func WritePointsCSV(w io.Writer, points []Point) {
+// WriteCSV emits the sweep points and job rows of every result under
+// one header. A job row carries its map count as clients and its
+// completion time as makespan; its MB/s fields are empty.
+func WriteCSV(w io.Writer, results []ExperimentResult) {
 	fmt.Fprintln(w, "experiment,fs,clients,per_client_mbps,min_mbps,max_mbps,aggregate_mbps,makespan_s")
-	for _, p := range points {
-		fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-			p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps, p.Duration.Seconds())
+	for _, r := range results {
+		for _, p := range r.Points {
+			fmt.Fprintf(w, "%s,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f\n",
+				p.Experiment, p.Kind, p.Clients, p.PerClientMBps, p.MinMBps, p.MaxMBps, p.AggregateMBps, p.Duration.Seconds())
+		}
+		for _, j := range r.Jobs {
+			fmt.Fprintf(w, "%s,%s,%d,,,,,%.2f\n", j.Experiment, j.Kind, j.Maps, j.Completion.Seconds())
+		}
 	}
 }
 
@@ -106,37 +121,33 @@ func timeUnit(d time.Duration) time.Duration {
 	return 10 * time.Millisecond
 }
 
-// ExperimentResult is one experiment's structured results: identity,
-// every rendered sweep point, and any scalar metrics it reported.
-type ExperimentResult struct {
+// ms renders a duration as fractional milliseconds for the JSON schema.
+func ms(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
+}
+
+// resultsFile is the top-level document written by bsfs-bench -json:
+// the sweep parameters plus one record per experiment — the
+// BENCH_*.json perf-trajectory format.
+type resultsFile struct {
+	Params      paramsJSON       `json:"params"`
+	Experiments []experimentJSON `json:"experiments"`
+}
+
+type paramsJSON struct {
+	Clients        []int `json:"clients"`
+	BytesPerClient int64 `json:"bytes_per_client"`
+	Nodes          int   `json:"nodes"`
+	MemCapacity    int64 `json:"mem_capacity"`
+	Replication    int   `json:"replication"`
+}
+
+type experimentJSON struct {
 	ID      string      `json:"id"`
 	Title   string      `json:"title"`
 	Points  []pointJSON `json:"points,omitempty"`
+	Jobs    []jobJSON   `json:"jobs,omitempty"`
 	Metrics []Metric    `json:"metrics,omitempty"`
-}
-
-// NewExperimentResult pairs an experiment's identity with what its
-// Recorder captured.
-func NewExperimentResult(e Experiment, r *Recorder) ExperimentResult {
-	res := ExperimentResult{ID: e.ID, Title: e.Title, Metrics: r.Metrics}
-	for _, p := range r.Points {
-		res.Points = append(res.Points, pointJSON{
-			Experiment:    p.Experiment,
-			FS:            p.Kind,
-			Clients:       p.Clients,
-			PerClientMBps: p.PerClientMBps,
-			MinMBps:       p.MinMBps,
-			MaxMBps:       p.MaxMBps,
-			AggregateMBps: p.AggregateMBps,
-			MakespanSec:   p.Duration.Seconds(),
-			NetBytes:      p.NetBytes,
-			DiskBytes:     p.DiskBytes,
-			P50Ms:         ms(p.P50),
-			P90Ms:         ms(p.P90),
-			P99Ms:         ms(p.P99),
-		})
-	}
-	return res
 }
 
 // pointJSON is Point in stable machine-readable form (durations as
@@ -160,30 +171,23 @@ type pointJSON struct {
 	P99Ms float64 `json:"p99_ms,omitempty"`
 }
 
-// ms renders a duration as fractional milliseconds for the JSON schema.
-func ms(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
+// jobJSON is AppResult in stable machine-readable form.
+type jobJSON struct {
+	Experiment    string  `json:"experiment"`
+	FS            string  `json:"fs"`
+	Maps          int     `json:"maps"`
+	CompletionSec float64 `json:"completion_s"`
+	InputBytes    int64   `json:"input_bytes"`
+	ShuffleBytes  int64   `json:"shuffle_bytes"`
+	OutputBytes   int64   `json:"output_bytes"`
+	DataLocal     int     `json:"data_local"`
+	RackLocal     int     `json:"rack_local"`
+	Remote        int     `json:"remote"`
 }
 
-// resultsFile is the top-level document written by bsfs-bench -json:
-// the sweep parameters plus one record per experiment — the
-// BENCH_*.json perf-trajectory format.
-type resultsFile struct {
-	Params      paramsJSON         `json:"params"`
-	Experiments []ExperimentResult `json:"experiments"`
-}
-
-type paramsJSON struct {
-	Clients        []int `json:"clients"`
-	BytesPerClient int64 `json:"bytes_per_client"`
-	Nodes          int   `json:"nodes"`
-	MemCapacity    int64 `json:"mem_capacity"`
-	Replication    int   `json:"replication"`
-}
-
-// WriteResultsJSON serializes recorded experiment results with the
-// sweep parameters that produced them.
-func WriteResultsJSON(w io.Writer, opts SweepOpts, exps []ExperimentResult) error {
+// WriteJSON serializes experiment results with the sweep parameters
+// that produced them.
+func WriteJSON(w io.Writer, opts SweepOpts, results []ExperimentResult) error {
 	opts.fillDefaults()
 	doc := resultsFile{
 		Params: paramsJSON{
@@ -193,7 +197,41 @@ func WriteResultsJSON(w io.Writer, opts SweepOpts, exps []ExperimentResult) erro
 			MemCapacity:    opts.MemCapacity,
 			Replication:    opts.Replication,
 		},
-		Experiments: exps,
+	}
+	for _, r := range results {
+		e := experimentJSON{ID: r.ID, Title: r.Title, Metrics: r.Metrics}
+		for _, p := range r.Points {
+			e.Points = append(e.Points, pointJSON{
+				Experiment:    p.Experiment,
+				FS:            p.Kind,
+				Clients:       p.Clients,
+				PerClientMBps: p.PerClientMBps,
+				MinMBps:       p.MinMBps,
+				MaxMBps:       p.MaxMBps,
+				AggregateMBps: p.AggregateMBps,
+				MakespanSec:   p.Duration.Seconds(),
+				NetBytes:      p.NetBytes,
+				DiskBytes:     p.DiskBytes,
+				P50Ms:         ms(p.P50),
+				P90Ms:         ms(p.P90),
+				P99Ms:         ms(p.P99),
+			})
+		}
+		for _, j := range r.Jobs {
+			e.Jobs = append(e.Jobs, jobJSON{
+				Experiment:    j.Experiment,
+				FS:            j.Kind,
+				Maps:          j.Maps,
+				CompletionSec: j.Completion.Seconds(),
+				InputBytes:    j.Counters.InputBytes,
+				ShuffleBytes:  j.Counters.ShuffleBytes,
+				OutputBytes:   j.Counters.OutputBytes,
+				DataLocal:     j.Counters.DataLocal,
+				RackLocal:     j.Counters.RackLocal,
+				Remote:        j.Counters.Remote,
+			})
+		}
+		doc.Experiments = append(doc.Experiments, e)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"encoding/json"
-	"io"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,22 +19,22 @@ func samplePoints() []Point {
 
 func TestWritePointsTable(t *testing.T) {
 	var sb strings.Builder
-	WritePointsTable(&sb, "E3", samplePoints())
+	WriteTable(&sb, ExperimentResult{Title: "E3", Points: samplePoints()})
 	out := sb.String()
-	for _, want := range []string{"== E3 ==", "bsfs", "hdfs", "124.2", "59.9", "clients"} {
+	for _, want := range []string{"--- E3 ---", "bsfs", "hdfs", "124.2", "59.9", "clients"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // title + header + 2 rows
+	if len(lines) != 5 { // title + blank + header + 2 rows
 		t.Fatalf("table has %d lines:\n%s", len(lines), out)
 	}
 }
 
 func TestWritePointsCSV(t *testing.T) {
 	var sb strings.Builder
-	WritePointsCSV(&sb, samplePoints())
+	WriteCSV(&sb, []ExperimentResult{{Points: samplePoints()}})
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d", len(lines))
@@ -45,14 +47,18 @@ func TestWritePointsCSV(t *testing.T) {
 	}
 }
 
-func TestWriteAppTable(t *testing.T) {
-	var sb strings.Builder
-	WriteAppTable(&sb, "E4", []AppResult{{
+func sampleJobs() []AppResult {
+	return []AppResult{{
 		Experiment: "E4-random-text-writer",
 		Kind:       "bsfs",
 		Maps:       250,
 		Completion: 24480 * time.Millisecond,
-	}})
+	}}
+}
+
+func TestWriteAppTable(t *testing.T) {
+	var sb strings.Builder
+	WriteTable(&sb, ExperimentResult{Title: "E4", Jobs: sampleJobs()})
 	out := sb.String()
 	for _, want := range []string{"E4-random-text-writer", "bsfs", "250", "24.48s"} {
 		if !strings.Contains(out, want) {
@@ -157,18 +163,14 @@ func TestClientNodeSpread(t *testing.T) {
 }
 
 func TestWriteResultsJSON(t *testing.T) {
-	rec := &Recorder{Writer: io.Discard}
-	WritePointsTable(rec, "E3", samplePoints())
-	recordMetric(rec, "publish_rate_n50", "versions/s", 812.5)
-	if len(rec.Points) != 2 || len(rec.Metrics) != 1 {
-		t.Fatalf("recorder captured %d points, %d metrics", len(rec.Points), len(rec.Metrics))
-	}
-	e, _ := FindExperiment("e3")
+	res := ExperimentResult{ID: "e3", Title: "E3", Points: samplePoints()}
+	res.metric("publish_rate_n50", "versions/s", 812.5)
 	var sb strings.Builder
-	err := WriteResultsJSON(&sb, SweepOpts{Clients: []int{50}, Spec: ClusterSpec{Nodes: 90}},
-		[]ExperimentResult{NewExperimentResult(e, rec)})
-	if err != nil {
+	if err := WriteJSON(&sb, SweepOpts{Clients: []int{50}, Spec: ClusterSpec{Nodes: 90}}, []ExperimentResult{res}); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), `"jobs"`) {
+		t.Fatalf("empty jobs not omitted:\n%s", sb.String())
 	}
 	var doc struct {
 		Params struct {
@@ -202,12 +204,80 @@ func TestWriteResultsJSON(t *testing.T) {
 	}
 }
 
-// Recorder passes rendered output through to the wrapped writer.
-func TestRecorderTees(t *testing.T) {
-	var sb strings.Builder
-	rec := &Recorder{Writer: &sb}
-	WritePointsTable(rec, "E3", samplePoints())
-	if !strings.Contains(sb.String(), "== E3 ==") {
-		t.Fatalf("recorder swallowed output:\n%s", sb.String())
+// TestRenderersAgreeOnRows: table, CSV and JSON render the same rows
+// (every point and job, keyed by experiment, fs and clients or maps)
+// and table and JSON the same metrics, so no format drops what
+// another shows.
+func TestRenderersAgreeOnRows(t *testing.T) {
+	res := ExperimentResult{ID: "x", Title: "X", Points: samplePoints(), Jobs: sampleJobs()}
+	res.metric("goodput_open_10x", "ops/s", 788.4)
+	res.metric("offered_open_10x", "ops", 23983)
+	results := []ExperimentResult{res}
+	want := []string{"E3-write-distinct,bsfs,50", "E3-write-distinct,hdfs,50", "E4-random-text-writer,bsfs,250"}
+
+	var table strings.Builder
+	WriteTable(&table, res)
+	var tableRows []string
+	tableMetrics := map[string]string{}
+	for _, l := range strings.Split(table.String(), "\n") {
+		f := strings.Fields(l)
+		switch {
+		case len(f) >= 3 && (f[1] == "bsfs" || f[1] == "hdfs"):
+			tableRows = append(tableRows, strings.Join(f[:3], ","))
+		case len(f) == 3 && f[0] != "metric" && f[0] != "---":
+			tableMetrics[f[0]] = f[2]
+		}
+	}
+
+	var csv strings.Builder
+	WriteCSV(&csv, results)
+	var csvRows []string
+	for _, l := range strings.Split(strings.TrimSpace(csv.String()), "\n")[1:] {
+		csvRows = append(csvRows, strings.Join(strings.Split(l, ",")[:3], ","))
+	}
+
+	var js strings.Builder
+	if err := WriteJSON(&js, SweepOpts{}, results); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Experiments []struct {
+			Points []struct {
+				Experiment string `json:"experiment"`
+				FS         string `json:"fs"`
+				Clients    int    `json:"clients"`
+			} `json:"points"`
+			Jobs []struct {
+				Experiment string `json:"experiment"`
+				FS         string `json:"fs"`
+				Maps       int    `json:"maps"`
+			} `json:"jobs"`
+			Metrics []Metric `json:"metrics"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal([]byte(js.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var jsonRows []string
+	jsonMetrics := map[string]string{}
+	for _, e := range doc.Experiments {
+		for _, p := range e.Points {
+			jsonRows = append(jsonRows, fmt.Sprintf("%s,%s,%d", p.Experiment, p.FS, p.Clients))
+		}
+		for _, j := range e.Jobs {
+			jsonRows = append(jsonRows, fmt.Sprintf("%s,%s,%d", j.Experiment, j.FS, j.Maps))
+		}
+		for _, m := range e.Metrics {
+			jsonMetrics[m.Name] = m.Unit
+		}
+	}
+
+	for name, rows := range map[string][]string{"table": tableRows, "csv": csvRows, "json": jsonRows} {
+		if !slices.Equal(rows, want) {
+			t.Errorf("%s rows = %q, want %q", name, rows, want)
+		}
+	}
+	if len(jsonMetrics) != 2 || !maps.Equal(tableMetrics, jsonMetrics) {
+		t.Errorf("table metrics %v, json metrics %v", tableMetrics, jsonMetrics)
 	}
 }

@@ -44,28 +44,31 @@ type ServeOpts struct {
 	Duration time.Duration
 	// Admission enables per-tenant token-bucket admission at op entry.
 	Admission bool
-	// AdmitHeadroom scales the per-tenant admitted rate over the fair
-	// share: rate = AdmitHeadroom * BaseRate / Tenants (default 2.5 —
-	// above the 1x fair share, still safely inside the modeled serving
-	// capacity, so admitted work never saturates the bottleneck).
-	AdmitHeadroom float64
-	// ReadFraction / SharedFraction shape the op mix (defaults 0.5 and
-	// 0.5): reads vs appends, shared blob vs the tenant's private blob.
-	ReadFraction   float64
-	SharedFraction float64
-	// SLO is the completion-latency bound defining goodput (default
-	// 250ms).
-	SLO time.Duration
 	// VMServiceTime is the modeled per-RPC occupancy of the version
 	// manager — the serving bottleneck (default 200µs).
 	VMServiceTime time.Duration
-	// BlockSize sizes each synthetic append and read (default 64 KB).
-	BlockSize int64
 	// Nodes sizes the simulated cluster (default 12).
 	Nodes int
-	// Seed drives the arrival schedule (default 1).
-	Seed int64
 }
+
+// The fixed shape of every serving run.
+const (
+	// serveAdmitHeadroom scales the per-tenant admitted rate over the
+	// fair share: rate = serveAdmitHeadroom * BaseRate / Tenants —
+	// above the 1x fair share, still safely inside the modeled serving
+	// capacity, so admitted work never saturates the bottleneck.
+	serveAdmitHeadroom = 2.5
+	// serveReadFraction / serveSharedFraction shape the op mix: reads
+	// vs appends, shared blob vs the tenant's private blob.
+	serveReadFraction   = 0.5
+	serveSharedFraction = 0.5
+	// serveSLO is the completion-latency bound defining goodput.
+	serveSLO = 250 * time.Millisecond
+	// serveBlockSize sizes each synthetic append and read.
+	serveBlockSize = 64 * KB
+	// serveSeed drives the arrival schedule.
+	serveSeed = 1
+)
 
 func (o *ServeOpts) fillDefaults() {
 	if o.Tenants <= 0 {
@@ -80,29 +83,11 @@ func (o *ServeOpts) fillDefaults() {
 	if o.Duration <= 0 {
 		o.Duration = 6 * time.Second
 	}
-	if o.AdmitHeadroom <= 0 {
-		o.AdmitHeadroom = 2.5
-	}
-	if o.ReadFraction == 0 {
-		o.ReadFraction = 0.5
-	}
-	if o.SharedFraction == 0 {
-		o.SharedFraction = 0.5
-	}
-	if o.SLO <= 0 {
-		o.SLO = 250 * time.Millisecond
-	}
 	if o.VMServiceTime <= 0 {
 		o.VMServiceTime = 200 * time.Microsecond
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 64 * KB
-	}
 	if o.Nodes <= 0 {
 		o.Nodes = 12
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -144,7 +129,7 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 		VMServiceTime: opts.VMServiceTime,
 	}
 	if opts.Admission {
-		coreOpts.TenantRate = opts.AdmitHeadroom * opts.BaseRate / float64(opts.Tenants)
+		coreOpts.TenantRate = serveAdmitHeadroom * opts.BaseRate / float64(opts.Tenants)
 		coreOpts.TenantBurst = 2
 	}
 	d, err := core.NewDeployment(env, coreOpts)
@@ -166,7 +151,7 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := b.WriteAt(nil, 0, core.Synthetic(opts.BlockSize)); err != nil {
+			if _, err := b.WriteAt(nil, 0, core.Synthetic(serveBlockSize)); err != nil {
 				return nil, err
 			}
 			return b, nil
@@ -204,19 +189,19 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 			Tenants:        opts.Tenants,
 			Rate:           opts.Multiple * opts.BaseRate,
 			Duration:       opts.Duration,
-			ReadFraction:   opts.ReadFraction,
-			SharedFraction: opts.SharedFraction,
-			Seed:           opts.Seed,
+			ReadFraction:   serveReadFraction,
+			SharedFraction: serveSharedFraction,
+			Seed:           serveSeed,
 		}, func(op traffic.Op) error {
 			bh := private[op.TenantIndex]
 			if op.Shared {
 				bh = sharedH[op.TenantIndex%len(sharedH)]
 			}
 			if op.Kind == traffic.OpRead {
-				_, err := bh.ReadAt(nil, 0, core.Synthetic(opts.BlockSize), core.WithTenant(op.Tenant))
+				_, err := bh.ReadAt(nil, 0, core.Synthetic(serveBlockSize), core.WithTenant(op.Tenant))
 				return err
 			}
-			_, _, err := bh.Append(core.SyntheticBlocks(opts.BlockSize), core.WithTenant(op.Tenant))
+			_, _, err := bh.Append(core.SyntheticBlocks(serveBlockSize), core.WithTenant(op.Tenant))
 			return err
 		})
 		makespan = env.Now() - start
@@ -261,7 +246,7 @@ func RunServe(opts ServeOpts) (ServeResult, error) {
 			P90:        rep.P90,
 			P99:        rep.P99,
 		},
-		GoodputPerSec: rep.Goodput(opts.Duration, opts.SLO),
+		GoodputPerSec: rep.Goodput(opts.Duration, serveSLO),
 	}
 	if lim := d.Admission; lim != nil {
 		res.AdmittedStats = lim.Stats()
@@ -297,14 +282,12 @@ func RunServeSweep(opts ServeOpts, multiples []float64) (open, admitted []ServeR
 		admitted = append(admitted, ra)
 	}
 	last := len(multiples) - 1
-	o := opts
-	o.fillDefaults()
 	if admitted[last].GoodputPerSec < open[last].GoodputPerSec {
 		err = fmt.Errorf("bench: x8 admission lost goodput at %gx: %.1f < %.1f ops/s",
 			multiples[last], admitted[last].GoodputPerSec, open[last].GoodputPerSec)
-	} else if admitted[last].Report.P99 > o.SLO {
+	} else if admitted[last].Report.P99 > serveSLO {
 		err = fmt.Errorf("bench: x8 admitted p99 %s exceeds SLO %s at %gx",
-			admitted[last].Report.P99, o.SLO, multiples[last])
+			admitted[last].Report.P99, serveSLO, multiples[last])
 	}
 	return open, admitted, err
 }

@@ -18,7 +18,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -35,16 +34,15 @@ type ShardOpts struct {
 	// metadata-bound and the version-manager tier is the bottleneck).
 	BlockSize int64
 	// Shards is the version-manager shard count (default 1).
-	Shards int
-	// ServiceTime is the modeled per-RPC processing occupancy of each
-	// shard (default 400µs). It applies identically at every shard
-	// count; only the queue it forms is divided by sharding.
-	ServiceTime time.Duration
-	// MaxInFlightBlocks is the writer pipeline depth (default 8).
-	MaxInFlightBlocks int
-	Storage           StorageOpts
-	Spec              ClusterSpec
+	Shards  int
+	Storage StorageOpts
+	Spec    ClusterSpec
 }
+
+// shardServiceTime is the modeled per-RPC processing occupancy of each
+// version-manager shard. It applies identically at every shard count;
+// only the queue it forms is divided by sharding.
+const shardServiceTime = 400 * time.Microsecond
 
 func (o *ShardOpts) fillDefaults() {
 	if o.Writers <= 0 {
@@ -59,17 +57,11 @@ func (o *ShardOpts) fillDefaults() {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-	if o.ServiceTime <= 0 {
-		o.ServiceTime = 400 * time.Microsecond
-	}
-	if o.MaxInFlightBlocks <= 0 {
-		o.MaxInFlightBlocks = 8
-	}
 	o.Storage.Kind = "bsfs"
 	o.Storage.BlockSize = o.BlockSize
-	o.Storage.MaxInFlightBlocks = o.MaxInFlightBlocks
+	o.Storage.MaxInFlightBlocks = writerPipelineDepth
 	o.Storage.VMShards = o.Shards
-	o.Storage.VMServiceTime = o.ServiceTime
+	o.Storage.VMServiceTime = shardServiceTime
 }
 
 // RunShardPublish is experiment X5: Writers concurrent writers append
@@ -89,15 +81,7 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 	durations := make([]time.Duration, opts.Writers)
 	var makespan time.Duration
 	var versions int
-	var errMu sync.Mutex
-	var runErr error
-	setErr := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
+	var runErr firstError
 	path := func(i int) string { return fmt.Sprintf("/x5/f%04d", i) }
 	err = tb.Run(func() {
 		// Setup phase (unmeasured): create every file so the measured
@@ -106,11 +90,11 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 		for i := 0; i < opts.Writers; i++ {
 			w, err := fs.Create(path(i))
 			if err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 			if err := w.Close(); err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 		}
@@ -122,40 +106,40 @@ func RunShardPublish(opts ShardOpts) (PublishResult, error) {
 				cfs := tb.NewFS(c)
 				aw, err := cfs.Append(path(i))
 				if err != nil {
-					setErr(err)
+					runErr.set(err)
 					return
 				}
 				for b := 0; b < opts.BlocksPerWriter; b++ {
 					if _, err := aw.WriteSynthetic(opts.BlockSize); err != nil {
-						setErr(err)
+						runErr.set(err)
 					}
 				}
 				if err := aw.Close(); err != nil {
-					setErr(err)
+					runErr.set(err)
 				}
 				durations[i] = tb.Env.Now() - t0
 			})
 		}
 		wg.Wait()
 		makespan = tb.Env.Now() - start
-		if runErr != nil {
+		if runErr.get() != nil {
 			return
 		}
 		for i := 0; i < opts.Writers; i++ {
 			vs, err := tb.bsfsSvc.NewFS(0).Versions(path(i))
 			if err != nil {
-				runErr = err
+				runErr.set(err)
 				return
 			}
 			versions += len(vs)
 			if len(vs) != opts.BlocksPerWriter {
-				runErr = fmt.Errorf("bench: x5 file %d published %d versions, want %d", i, len(vs), opts.BlocksPerWriter)
+				runErr.set(fmt.Errorf("bench: x5 file %d published %d versions, want %d", i, len(vs), opts.BlocksPerWriter))
 				return
 			}
 		}
 	})
 	if err == nil {
-		err = runErr
+		err = runErr.get()
 	}
 	res := PublishResult{
 		Point:    summarize(fmt.Sprintf("X5-shards-%d", opts.Shards), tb.Kind, perClient, durations, makespan),

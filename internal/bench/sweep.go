@@ -1,13 +1,15 @@
-// sweep.go defines the named experiments (E1..E3, X1..X8, A1..A7) as
-// parameter sweeps over both storage systems — the figures and
+// sweep.go defines the named experiments (E1..E5, X1..X8, A1..A4, A7)
+// as parameter sweeps over both storage systems — the figures and
 // tables of the paper's evaluation, regenerated, plus the extension
-// and ablation studies this repository adds.
+// and ablation studies this repository adds. Each returns one
+// ExperimentResult; report.go renders it.
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"time"
+
+	"repro/internal/fsapi"
 )
 
 // SweepOpts parameterizes a full experiment sweep.
@@ -68,11 +70,84 @@ func runSweep(run microRunner, opts SweepOpts, kinds []string, mutate func(*Micr
 	return out, nil
 }
 
-// Experiment metadata for the registry.
+// sweep is the Run of a plain microbenchmark sweep over kinds.
+func sweep(run microRunner, kinds ...string) func(SweepOpts) (ExperimentResult, error) {
+	return func(opts SweepOpts) (ExperimentResult, error) {
+		pts, err := runSweep(run, opts, kinds, nil)
+		return ExperimentResult{Points: pts}, err
+	}
+}
+
+// ablation is the Run of a two-arm ablation on one storage kind: the
+// baseline sweep (base may be nil), then the same sweep with arm
+// applied on top, its points renamed to name.
+func ablation(run microRunner, kind string, base func(*MicroOpts), name string, arm func(*MicroOpts)) func(SweepOpts) (ExperimentResult, error) {
+	return func(opts SweepOpts) (ExperimentResult, error) {
+		pts, err := runSweep(run, opts, []string{kind}, base)
+		if err != nil {
+			return ExperimentResult{Points: pts}, err
+		}
+		alt, err := runSweep(run, opts, []string{kind}, func(m *MicroOpts) {
+			if base != nil {
+				base(m)
+			}
+			arm(m)
+		})
+		for i := range alt {
+			alt[i].Experiment = name
+		}
+		return ExperimentResult{Points: append(pts, alt...)}, err
+	}
+}
+
+// appSweep is the Run of a MapReduce application benchmark: one job
+// run per storage kind at every client count, which sets the job's map
+// tasks; BytesPerClient sets the bytes per map.
+func appSweep(run func(AppOpts) ([]AppResult, error), kinds ...string) func(SweepOpts) (ExperimentResult, error) {
+	return func(opts SweepOpts) (ExperimentResult, error) {
+		opts.fillDefaults()
+		var res ExperimentResult
+		for _, kind := range kinds {
+			for _, n := range opts.Clients {
+				jobs, err := run(AppOpts{
+					Maps:        n,
+					BytesPerMap: opts.BytesPerClient,
+					Spec:        opts.Spec,
+					Storage:     StorageOpts{Kind: kind, MemCapacity: opts.MemCapacity, Replication: opts.Replication},
+				})
+				if err != nil {
+					return res, fmt.Errorf("bench: kind=%s maps=%d: %w", kind, n, err)
+				}
+				res.Jobs = append(res.Jobs, jobs...)
+			}
+		}
+		return res, nil
+	}
+}
+
+// oneJob adapts a single-job benchmark to appSweep.
+func oneJob(run func(AppOpts) (AppResult, error)) func(AppOpts) ([]AppResult, error) {
+	return func(opts AppOpts) ([]AppResult, error) {
+		r, err := run(opts)
+		return []AppResult{r}, err
+	}
+}
+
+// hdfsRefused checks X1's HDFS leg: the append must fail with the
+// typed fsapi.ErrNotSupported (§II.C), not merely fail.
+func hdfsRefused(err error) error {
+	if !errors.Is(err, fsapi.ErrNotSupported) {
+		return fmt.Errorf("bench: x1 hdfs concurrent append: got %v, want %v", err, fsapi.ErrNotSupported)
+	}
+	return nil
+}
+
+// Experiment is one registry entry. Run returns whatever it measured
+// even when it fails, so a failed assertion still renders its rows.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(opts SweepOpts, w io.Writer) error
+	Run   func(SweepOpts) (ExperimentResult, error)
 }
 
 // Experiments is the registry behind cmd/bsfs-bench: every figure and
@@ -81,40 +156,37 @@ var Experiments = []Experiment{
 	{
 		ID:    "e1",
 		Title: "E1 §IV.B: concurrent reads from different files (throughput vs clients)",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunReadDistinct, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E1: concurrent reads, distinct files", pts)
-			return err
-		},
+		Run:   sweep(RunReadDistinct, "bsfs", "hdfs"),
 	},
 	{
 		ID:    "e2",
 		Title: "E2 §IV.B: concurrent reads of disjoint parts of one huge file",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunReadShared, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E2: concurrent reads, one shared file", pts)
-			return err
-		},
+		Run:   sweep(RunReadShared, "bsfs", "hdfs"),
 	},
 	{
 		ID:    "e3",
 		Title: "E3 §IV.B: concurrent writes to different files",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			pts, err := runSweep(RunWriteDistinct, opts, []string{"bsfs", "hdfs"}, nil)
-			WritePointsTable(w, "E3: concurrent writes, distinct files", pts)
-			return err
-		},
+		Run:   sweep(RunWriteDistinct, "bsfs", "hdfs"),
+	},
+	{
+		ID:    "e4",
+		Title: "E4 §IV.C: Random Text Writer (job completion time, maps = clients)",
+		Run:   appSweep(oneJob(RunRandomTextWriter), "bsfs", "hdfs"),
+	},
+	{
+		ID:    "e5",
+		Title: "E5 §IV.C: Distributed Grep (job completion time, maps = clients)",
+		Run:   appSweep(oneJob(RunDistributedGrep), "bsfs", "hdfs"),
 	},
 	{
 		ID:    "x1",
 		Title: "X1 §V: concurrent appends to one file (BSFS only; HDFS rejects)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			pts, err := runSweep(RunAppendShared, opts, []string{"bsfs"}, nil)
-			WritePointsTable(w, "X1: concurrent appends, one shared file (bsfs)", pts)
+			res := ExperimentResult{Points: pts}
 			if err != nil {
-				return err
+				return res, err
 			}
-			// Demonstrate the HDFS refusal at one point.
 			opts.fillDefaults()
 			_, herr := RunAppendShared(MicroOpts{
 				Clients:        opts.Clients[0],
@@ -122,296 +194,249 @@ var Experiments = []Experiment{
 				Spec:           opts.Spec,
 				Storage:        StorageOpts{Kind: "hdfs", MemCapacity: opts.MemCapacity},
 			})
-			fmt.Fprintf(w, "hdfs: concurrent append rejected as expected: %v\n", herr)
-			return nil
+			return res, hdfsRefused(herr)
 		},
 	},
 	{
 		ID:    "x2",
 		Title: "X2: concurrent writers to one blob (publish throughput vs N writers, bsfs)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			opts.fillDefaults()
-			var pts []Point
+			var res ExperimentResult
 			for _, n := range opts.Clients {
-				res, err := RunPublishShared(PublishOpts{
+				r, err := RunPublishShared(PublishOpts{
 					Clients: n,
 					Spec:    opts.Spec,
 					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
 				if err != nil {
-					return fmt.Errorf("bench: x2 n=%d: %w", n, err)
+					return res, fmt.Errorf("bench: x2 n=%d: %w", n, err)
 				}
-				fmt.Fprintf(w, "x2 n=%d: %d versions published, %.1f versions/s\n",
-					n, res.Versions, res.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("publish_rate_n%d", n), "versions/s", res.VersionsPerSec)
-				pts = append(pts, res.Point)
+				res.Points = append(res.Points, r.Point)
+				res.metric(fmt.Sprintf("publish_rate_n%d", n), "versions/s", r.VersionsPerSec)
+				res.metric(fmt.Sprintf("versions_n%d", n), "versions", float64(r.Versions))
 			}
-			WritePointsTable(w, "X2: shared-blob publish throughput (group commit)", pts)
-			return nil
+			return res, nil
 		},
 	},
 	{
 		ID:    "x3",
 		Title: "X3: provider failure and churn (degraded reads + time-to-full-replication, bsfs)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			opts.fillDefaults()
-			var pts []Point
+			var res ExperimentResult
 			for _, n := range opts.Clients {
 				// FaultOpts.fillDefaults forces bsfs and Replication >= 2.
-				res, err := RunFaultChurn(FaultOpts{
+				r, err := RunFaultChurn(FaultOpts{
 					Clients:        n,
 					BytesPerClient: opts.BytesPerClient,
 					Spec:           opts.Spec,
 					Storage:        StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
 				if err != nil {
-					return fmt.Errorf("bench: x3 n=%d: %w", n, err)
+					return res, fmt.Errorf("bench: x3 n=%d: %w", n, err)
 				}
-				pts = append(pts, res.Healthy, res.Degraded)
-				fmt.Fprintf(w, "x3 n=%d: repaired %d/%d degraded pages (%d replicas, %s copied) in %s\n",
-					n, res.Repair.PagesDegraded, res.Repair.PagesScanned,
-					res.Repair.ReplicasAdded, size(res.Repair.BytesCopied),
-					res.RepairDuration.Round(timeUnit(res.RepairDuration)))
-				recordMetric(w, fmt.Sprintf("pages_repaired_n%d", n), "pages", float64(res.Repair.PagesDegraded))
-				recordMetric(w, fmt.Sprintf("repair_duration_n%d", n), "s", res.RepairDuration.Seconds())
+				res.Points = append(res.Points, r.Healthy, r.Degraded)
+				res.metric(fmt.Sprintf("pages_repaired_n%d", n), "pages", float64(r.Repair.PagesDegraded))
+				res.metric(fmt.Sprintf("repair_duration_n%d", n), "s", r.RepairDuration.Seconds())
+				res.metric(fmt.Sprintf("pages_scanned_n%d", n), "pages", float64(r.Repair.PagesScanned))
+				res.metric(fmt.Sprintf("replicas_added_n%d", n), "pages", float64(r.Repair.ReplicasAdded))
+				res.metric(fmt.Sprintf("bytes_copied_n%d", n), "B", float64(r.Repair.BytesCopied))
 			}
-			WritePointsTable(w, "X3: reads under provider failure (healthy vs degraded)", pts)
-			return nil
+			return res, nil
 		},
+	},
+	{
+		ID:    "x4",
+		Title: "X4 §V: concurrent MapReduce jobs on different snapshots (bsfs)",
+		Run:   appSweep(RunSnapshotWorkflow, "bsfs"),
 	},
 	{
 		ID:    "x5",
 		Title: "X5: sharded version manager (aggregate multi-blob publish throughput vs shard count)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			opts.fillDefaults()
 			// The sweep axis is the shard count, not the client count:
 			// a fixed multi-blob writer fleet drives the tier at every
 			// shard width. The run itself asserts the tentpole claim —
 			// 4 shards must out-publish the centralized baseline.
-			var pts []Point
+			var res ExperimentResult
 			var one, four float64
 			for _, sh := range []int{1, 2, 4, 8} {
-				res, err := RunShardPublish(ShardOpts{
+				r, err := RunShardPublish(ShardOpts{
 					Shards:  sh,
 					Spec:    opts.Spec,
 					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
 				if err != nil {
-					return fmt.Errorf("bench: x5 shards=%d: %w", sh, err)
+					return res, fmt.Errorf("bench: x5 shards=%d: %w", sh, err)
 				}
-				fmt.Fprintf(w, "x5 shards=%d: %d versions published, %.1f versions/s\n",
-					sh, res.Versions, res.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("publish_rate_shards%d", sh), "versions/s", res.VersionsPerSec)
+				res.Points = append(res.Points, r.Point)
+				res.metric(fmt.Sprintf("publish_rate_shards%d", sh), "versions/s", r.VersionsPerSec)
+				res.metric(fmt.Sprintf("versions_shards%d", sh), "versions", float64(r.Versions))
 				switch sh {
 				case 1:
-					one = res.VersionsPerSec
+					one = r.VersionsPerSec
 				case 4:
-					four = res.VersionsPerSec
+					four = r.VersionsPerSec
 				}
-				pts = append(pts, res.Point)
 			}
 			if four <= one {
-				return fmt.Errorf("bench: x5 sharding did not scale: 4 shards %.1f <= 1 shard %.1f versions/s", four, one)
+				return res, fmt.Errorf("bench: x5 sharding did not scale: 4 shards %.1f <= 1 shard %.1f versions/s", four, one)
 			}
-			WritePointsTable(w, "X5: multi-blob publish throughput vs version-manager shards", pts)
-			return nil
+			return res, nil
 		},
 	},
 	{
 		ID:    "x6",
 		Title: "X6: membership churn (writers survive join/leave cycles, time-to-rebalance, bsfs)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			opts.fillDefaults()
-			res, err := RunChurn(ChurnOpts{Replication: opts.Replication})
+			var res ExperimentResult
+			r, err := RunChurn(ChurnOpts{Replication: opts.Replication})
 			if err != nil {
-				return fmt.Errorf("bench: x6: %w", err)
+				return res, fmt.Errorf("bench: x6: %w", err)
 			}
-			fmt.Fprintf(w, "x6: %d appends (%d retried) across %d churn cycles, final epoch %d\n",
-				res.Appends, res.Retries, res.Cycles, res.Epoch)
-			fmt.Fprintf(w, "x6: placement moved %d replicas / migrated %d pages (%s copied); rebalanced to preferred owners in %s\n",
-				res.Sweeps.ReplicasAdded, res.Sweeps.PagesMigrated, size(res.Sweeps.BytesCopied),
-				res.RebalanceDuration.Round(timeUnit(res.RebalanceDuration)))
-			recordMetric(w, "appends", "ops", float64(res.Appends))
-			recordMetric(w, "append_retries", "ops", float64(res.Retries))
-			recordMetric(w, "final_epoch", "epoch", float64(res.Epoch))
-			recordMetric(w, "replicas_added", "pages", float64(res.Sweeps.ReplicasAdded))
-			recordMetric(w, "pages_migrated", "pages", float64(res.Sweeps.PagesMigrated))
-			recordMetric(w, "rebalance_duration", "s", res.RebalanceDuration.Seconds())
-			return nil
+			res.metric("appends", "ops", float64(r.Appends))
+			res.metric("append_retries", "ops", float64(r.Retries))
+			res.metric("final_epoch", "epoch", float64(r.Epoch))
+			res.metric("replicas_added", "pages", float64(r.Sweeps.ReplicasAdded))
+			res.metric("pages_migrated", "pages", float64(r.Sweeps.PagesMigrated))
+			res.metric("rebalance_duration", "s", r.RebalanceDuration.Seconds())
+			res.metric("cycles", "cycles", float64(r.Cycles))
+			res.metric("bytes_copied", "B", float64(r.Sweeps.BytesCopied))
+			return res, nil
 		},
 	},
 	{
 		ID:    "x7",
 		Title: "X7: tiered storage recovery (cold vs warm reads, restart recovery time vs store size)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			// The sweep axis is the store size: the dataset the provider
 			// fleet must recover after a restart.
-			var all []Point
+			var res ExperimentResult
 			for _, mb := range []int64{64, 256, 1024} {
-				res, err := RunTieredRecovery(TieredOpts{
+				r, err := RunTieredRecovery(TieredOpts{
 					BytesPerClient: mb * MB,
 					Storage:        StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
 				if err != nil {
-					return fmt.Errorf("bench: x7 size=%dMB: %w", mb, err)
+					return res, fmt.Errorf("bench: x7 size=%dMB: %w", mb, err)
 				}
-				fmt.Fprintf(w, "x7 size=%dMB: %d pages recovered in %s wall / %s sim (%s of logs); cold %.1f MB/s, warm %.1f MB/s (%.1fx)\n",
-					mb, res.RecoveredPages,
-					res.RecoveryWall.Round(timeUnit(res.RecoveryWall)),
-					res.RecoverySim.Round(timeUnit(res.RecoverySim)),
-					size(res.LogBytes),
-					res.Cold.AggregateMBps, res.Warm.AggregateMBps,
-					res.Warm.AggregateMBps/res.Cold.AggregateMBps)
-				recordMetric(w, fmt.Sprintf("recovered_pages_%dmb", mb), "pages", float64(res.RecoveredPages))
-				recordMetric(w, fmt.Sprintf("recovery_wall_%dmb", mb), "ms", float64(res.RecoveryWall.Milliseconds()))
-				recordMetric(w, fmt.Sprintf("recovery_sim_%dmb", mb), "s", res.RecoverySim.Seconds())
-				recordMetric(w, fmt.Sprintf("cold_read_%dmb", mb), "MB/s", res.Cold.AggregateMBps)
-				recordMetric(w, fmt.Sprintf("warm_read_%dmb", mb), "MB/s", res.Warm.AggregateMBps)
-				res.Cold.Experiment = fmt.Sprintf("X7-cold-%dMB", mb)
-				res.Warm.Experiment = fmt.Sprintf("X7-warm-%dMB", mb)
-				all = append(all, res.Cold, res.Warm)
+				r.Cold.Experiment = fmt.Sprintf("X7-cold-%dMB", mb)
+				r.Warm.Experiment = fmt.Sprintf("X7-warm-%dMB", mb)
+				res.Points = append(res.Points, r.Cold, r.Warm)
+				res.metric(fmt.Sprintf("recovered_pages_%dmb", mb), "pages", float64(r.RecoveredPages))
+				res.metric(fmt.Sprintf("recovery_wall_%dmb", mb), "ms", float64(r.RecoveryWall.Milliseconds()))
+				res.metric(fmt.Sprintf("recovery_sim_%dmb", mb), "s", r.RecoverySim.Seconds())
+				res.metric(fmt.Sprintf("cold_read_%dmb", mb), "MB/s", r.Cold.AggregateMBps)
+				res.metric(fmt.Sprintf("warm_read_%dmb", mb), "MB/s", r.Warm.AggregateMBps)
+				res.metric(fmt.Sprintf("log_bytes_%dmb", mb), "B", float64(r.LogBytes))
+				res.metric(fmt.Sprintf("warm_speedup_%dmb", mb), "x", r.Warm.AggregateMBps/r.Cold.AggregateMBps)
 			}
-			WritePointsTable(w, "X7: tiered recovery (cold vs warm reads by store size)", all)
-			return nil
+			return res, nil
 		},
 	},
 	{
 		ID:    "x8",
 		Title: "X8: heavy-traffic serving (open-loop multi-tenant load; admission on/off at 1x/5x/10x)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			multiples := []float64{1, 5, 10}
-			open, admitted, err := RunServeSweep(ServeOpts{}, multiples)
 			// The sweep itself asserts graceful degradation (admission
-			// goodput >= open at 10x, admitted p99 within the SLO);
-			// render whatever completed before reporting the error.
-			var pts []Point
-			for i := range open {
-				m := multiples[i]
-				o, a := open[i], admitted[i]
-				fmt.Fprintf(w, "x8 %2.0fx open : offered %d completed %d goodput %.0f ops/s p50 %s p99 %s inflight<=%d\n",
-					m, o.Report.Offered, o.Report.Completed, o.GoodputPerSec,
-					o.Report.P50.Round(time.Microsecond), o.Report.P99.Round(time.Microsecond), o.Report.MaxInflight)
-				fmt.Fprintf(w, "x8 %2.0fx admit: offered %d completed %d rejected %d goodput %.0f ops/s p50 %s p99 %s inflight<=%d\n",
-					m, a.Report.Offered, a.Report.Completed, a.Report.Rejected, a.GoodputPerSec,
-					a.Report.P50.Round(time.Microsecond), a.Report.P99.Round(time.Microsecond), a.Report.MaxInflight)
-				recordMetric(w, fmt.Sprintf("goodput_open_%gx", m), "ops/s", o.GoodputPerSec)
-				recordMetric(w, fmt.Sprintf("goodput_admit_%gx", m), "ops/s", a.GoodputPerSec)
-				recordMetric(w, fmt.Sprintf("p99_open_%gx", m), "ms", ms(o.Report.P99))
-				recordMetric(w, fmt.Sprintf("p99_admit_%gx", m), "ms", ms(a.Report.P99))
-				recordMetric(w, fmt.Sprintf("rejected_admit_%gx", m), "ops", float64(a.Report.Rejected))
-				recordMetric(w, fmt.Sprintf("max_inflight_open_%gx", m), "ops", float64(o.Report.MaxInflight))
-				recordMetric(w, fmt.Sprintf("max_inflight_admit_%gx", m), "ops", float64(a.Report.MaxInflight))
-				pts = append(pts, o.Point, a.Point)
+			// goodput >= open at 10x, admitted p99 within the SLO) and
+			// returns every run that completed alongside the error.
+			open, admitted, err := RunServeSweep(ServeOpts{}, multiples)
+			var res ExperimentResult
+			serve := func(r ServeResult, mode string, m float64) {
+				name := func(metric string) string { return fmt.Sprintf("%s_%s_%gx", metric, mode, m) }
+				res.Points = append(res.Points, r.Point)
+				res.metric(name("goodput"), "ops/s", r.GoodputPerSec)
+				res.metric(name("p99"), "ms", ms(r.Report.P99))
+				res.metric(name("max_inflight"), "ops", float64(r.Report.MaxInflight))
+				res.metric(name("p50"), "ms", ms(r.Report.P50))
+				res.metric(name("offered"), "ops", float64(r.Report.Offered))
+				res.metric(name("completed"), "ops", float64(r.Report.Completed))
 			}
-			recordPoints(w, pts)
-			return err
+			for i, o := range open {
+				serve(o, "open", multiples[i])
+				if i < len(admitted) {
+					serve(admitted[i], "admit", multiples[i])
+					res.metric(fmt.Sprintf("rejected_admit_%gx", multiples[i]), "ops", float64(admitted[i].Report.Rejected))
+				}
+			}
+			return res, err
 		},
 	},
 	{
 		ID:    "a1",
 		Title: "A1 ablation: BlobSeer striping vs HDFS-style local-first placement (read side)",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			striped, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, nil)
-			if err != nil {
-				return err
-			}
-			local, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, func(m *MicroOpts) {
-				m.Storage.LocalFirstPlacement = true
-			})
-			for i := range local {
-				local[i].Experiment = "A1-local-first"
-			}
-			WritePointsTable(w, "A1: placement ablation (striped vs local-first, reads)", append(striped, local...))
-			return err
-		},
+		Run: ablation(RunReadDistinct, "bsfs", nil, "A1-local-first", func(m *MicroOpts) {
+			m.Storage.LocalFirstPlacement = true
+		}),
 	},
 	{
 		ID:    "a2",
 		Title: "A2 ablation: BSFS client block cache disabled",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			// MapReduce-style record reads (1 MB requests) are where the
-			// §III.B client cache earns its keep.
-			withRecords := func(m *MicroOpts) { m.RecordSize = 1 * MB }
-			on, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, withRecords)
-			if err != nil {
-				return err
-			}
-			off, err := runSweep(RunReadDistinct, opts, []string{"bsfs"}, func(m *MicroOpts) {
-				m.RecordSize = 1 * MB
-				m.Storage.DisableClientCache = true
-			})
-			for i := range off {
-				off[i].Experiment = "A2-no-client-cache"
-			}
-			WritePointsTable(w, "A2: client cache ablation (1 MB record reads)", append(on, off...))
-			return err
-		},
+		// MapReduce-style record reads (1 MB requests) are where the
+		// §III.B client cache earns its keep.
+		Run: ablation(RunReadDistinct, "bsfs", func(m *MicroOpts) { m.RecordSize = 1 * MB }, "A2-no-client-cache", func(m *MicroOpts) {
+			m.Storage.DisableClientCache = true
+		}),
 	},
 	{
 		ID:    "a3",
 		Title: "A3 ablation: BlobSeer page size sweep (shared-file reads)",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			var all []Point
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
+			var res ExperimentResult
 			for _, ps := range []int64{64 * KB, 256 * KB, 1 * MB, 4 * MB} {
 				pts, err := runSweep(RunReadShared, opts, []string{"bsfs"}, func(m *MicroOpts) {
 					m.Storage.PageSize = ps
 				})
-				if err != nil {
-					return err
-				}
 				for i := range pts {
 					pts[i].Experiment = fmt.Sprintf("A3-page-%s", size(ps))
 				}
-				all = append(all, pts...)
+				res.Points = append(res.Points, pts...)
+				if err != nil {
+					return res, err
+				}
 			}
-			WritePointsTable(w, "A3: page size ablation (shared-file reads)", all)
-			return nil
+			return res, nil
 		},
 	},
 	{
 		ID:    "a4",
 		Title: "A4 ablation: HDFS with RAM-buffered datanodes (write-through off)",
-		Run: func(opts SweepOpts, w io.Writer) error {
-			wt, err := runSweep(RunWriteDistinct, opts, []string{"hdfs"}, nil)
-			if err != nil {
-				return err
-			}
-			ram, err := runSweep(RunWriteDistinct, opts, []string{"hdfs"}, func(m *MicroOpts) {
-				m.Storage.RAMDatanodes = true
-			})
-			for i := range ram {
-				ram[i].Experiment = "A4-ram-datanodes"
-			}
-			WritePointsTable(w, "A4: HDFS write-through ablation (writes)", append(wt, ram...))
-			return err
-		},
+		Run: ablation(RunWriteDistinct, "hdfs", nil, "A4-ram-datanodes", func(m *MicroOpts) {
+			m.Storage.RAMDatanodes = true
+		}),
 	},
 	{
 		ID:    "a7",
 		Title: "A7 ablation: version-manager tier sharded vs centralized (multi-blob publish)",
-		Run: func(opts SweepOpts, w io.Writer) error {
+		Run: func(opts SweepOpts) (ExperimentResult, error) {
 			opts.fillDefaults()
-			var all []Point
+			var res ExperimentResult
 			for _, writers := range []int{8, 32, 64} {
 				sharded, single, err := RunShardAblation(ShardOpts{
 					Writers: writers,
 					Spec:    opts.Spec,
 					Storage: StorageOpts{MemCapacity: opts.MemCapacity, Replication: opts.Replication},
 				})
-				if err != nil {
-					// Includes the sim assertion: the sharded tier must
-					// not publish slower than the single-shard baseline.
-					return fmt.Errorf("bench: a7 writers=%d: %w", writers, err)
+				// Both arms measured: err, if any, is the sim assertion
+				// that the sharded tier must not publish slower than the
+				// single-shard baseline, so the pair still renders.
+				if sharded.VersionsPerSec > 0 && single.VersionsPerSec > 0 {
+					single.Point.Experiment = "A7-single-shard"
+					res.Points = append(res.Points, sharded.Point, single.Point)
+					res.metric(fmt.Sprintf("sharding_speedup_w%d", writers), "x", sharded.VersionsPerSec/single.VersionsPerSec)
+					res.metric(fmt.Sprintf("sharded_rate_w%d", writers), "versions/s", sharded.VersionsPerSec)
+					res.metric(fmt.Sprintf("single_rate_w%d", writers), "versions/s", single.VersionsPerSec)
 				}
-				fmt.Fprintf(w, "a7 writers=%d: sharded %.1f versions/s, single %.1f versions/s (%.2fx)\n",
-					writers, sharded.VersionsPerSec, single.VersionsPerSec,
-					sharded.VersionsPerSec/single.VersionsPerSec)
-				recordMetric(w, fmt.Sprintf("sharding_speedup_w%d", writers), "x", sharded.VersionsPerSec/single.VersionsPerSec)
-				single.Point.Experiment = "A7-single-shard"
-				all = append(all, sharded.Point, single.Point)
+				if err != nil {
+					return res, fmt.Errorf("bench: a7 writers=%d: %w", writers, err)
+				}
 			}
-			WritePointsTable(w, "A7: sharding ablation (multi-blob publish)", all)
-			return nil
+			return res, nil
 		},
 	},
 }
