@@ -217,6 +217,38 @@ func (f *FS) OpenAt(path string, opts ...fsapi.OpenOption) (fsapi.Reader, error)
 	return f.newReader(b, v, size, s.Ctx), nil
 }
 
+// ReadRange reads len(p) bytes at off of the file straight from
+// BlobSeer, at request granularity: one namespace lookup, then one
+// core read of exactly that range, with no block prefetch or
+// readahead. It serves one-shot remote reads, which would throw
+// a prefetched block away; readers that stay open use OpenAt. The
+// options are OpenAt's: fsapi.AtVersion pins a snapshot (an unknown
+// version is an error) and fsapi.WithCtx makes the read cancellable.
+// Like io.ReaderAt, a read that ends past EOF is short and returns
+// io.EOF, and a negative offset is an error.
+func (f *FS) ReadRange(path string, p []byte, off int64, opts ...fsapi.OpenOption) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("bsfs: %s: negative offset %d", path, off)
+	}
+	s := fsapi.ApplyOpenOptions(opts)
+	b, err := f.blobOf(path)
+	if err != nil {
+		return 0, err
+	}
+	ropts := []core.ReadOption{core.WithCtx(s.Ctx)}
+	if s.HasVersion {
+		ropts = append(ropts, core.AtVersion(core.Version(s.Version)))
+	}
+	n, err := b.ReadAt(p, off, ropts...)
+	if err != nil {
+		return 0, err
+	}
+	if n < int64(len(p)) {
+		return int(n), io.EOF
+	}
+	return int(n), nil
+}
+
 // SnapshotFile registers newPath as a copy-on-write branch of path at
 // snapshot v (core.LatestVersion for the current one): an O(1)
 // metadata operation sharing all data with the source — the "easy
@@ -638,30 +670,40 @@ func (w *writer) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	pre, base, queued := int64(len(w.buf)), w.committed, w.pending
-	w.buf = append(w.buf, p...)
-	w.written += int64(len(p))
+	callLen := int64(len(p))
+	w.written += callLen
 	bs := w.fs.svc.cfg.BlockSize
-	if w.fs.svc.cfg.DisableCache {
-		bs = 1 // flush everything immediately
-	}
-	for int64(len(w.buf)) >= bs {
-		n := bs
-		if w.fs.svc.cfg.DisableCache {
-			n = int64(len(w.buf))
+	for len(p) > 0 {
+		// Fill the buffer up to the block boundary (everything at once
+		// without the cache: each Write is its own block).
+		n := len(p)
+		if !w.fs.svc.cfg.DisableCache {
+			n = min(n, int(bs)-len(w.buf))
+			// Growing past one page means a large write: size the
+			// whole block once and fill it in place instead of
+			// doubling through it. Small record appends keep append's
+			// growth and stay small.
+			if need := len(w.buf) + n; need > cap(w.buf) && int64(need) > w.b.PageSize() {
+				w.buf = append(make([]byte, 0, bs), w.buf...)
+			}
 		}
-		// The remainder moves to a fresh array, so the chunk keeps
-		// exclusive ownership of the old one — no copy needed.
-		chunk := w.buf[:n:n]
-		w.buf = append([]byte(nil), w.buf[n:]...)
-		if err := w.commitLocked(pendingBlock{data: chunk, size: n}); err != nil {
-			// Neither the chunk nor anything buffered behind it will
-			// reach the blob; report the prefix of p that already did.
-			dropped := n + int64(len(w.buf))
-			w.buf = nil
-			return int(w.failWriteLocked(dropped, base, queued, pre, int64(len(p)))), err
+		w.buf = append(w.buf, p[:n]...)
+		p = p[n:]
+		if !w.fs.svc.cfg.DisableCache && int64(len(w.buf)) < bs {
+			break
+		}
+		// The chunk takes the buffer's array; the next bytes start a
+		// fresh one, so no copy is needed.
+		chunk := w.buf[:len(w.buf):len(w.buf)]
+		w.buf = nil
+		if err := w.commitLocked(pendingBlock{data: chunk, size: int64(len(chunk))}); err != nil {
+			// Neither the chunk nor the rest of p will reach the blob;
+			// report the prefix of p that already did.
+			dropped := int64(len(chunk) + len(p))
+			return int(w.failWriteLocked(dropped, base, queued, pre, callLen)), err
 		}
 	}
-	return len(p), nil
+	return int(callLen), nil
 }
 
 // WriteSynthetic implements fsapi.Writer, with the same pipeline and
@@ -804,6 +846,9 @@ func (r *reader) Read(p []byte) (int, error) {
 
 // ReadAt implements io.ReaderAt with whole-block prefetch.
 func (r *reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("bsfs: read at negative offset %d", off)
+	}
 	if off >= r.size {
 		return 0, io.EOF
 	}

@@ -424,3 +424,105 @@ func TestManyFilesStress(t *testing.T) {
 		}
 	}
 }
+
+// TestReadRangeAtRequestGranularity drives FS.ReadRange through the
+// semantics the wire Read RPC relies on: exact ranges across block
+// boundaries, pinned snapshots, short reads at EOF, empty files, and
+// typed errors for directories, unknown versions and negative offsets.
+func TestReadRangeAtRequestGranularity(t *testing.T) {
+	_, fs := newTestFS(t, Config{BlockSize: 256})
+	data := make([]byte, 700)
+	rand.New(rand.NewSource(3)).Read(data)
+	writeFile(t, fs, "/rr", data)
+	v1, err := fs.Versions("/rr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := fs.Append("/rr")
+	w.Write([]byte("tail"))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	buf := make([]byte, 300)
+	if n, err := fs.ReadRange("/rr", buf, 200); n != 300 || err != nil || !bytes.Equal(buf, data[200:500]) {
+		t.Fatalf("ReadRange(200, 300) = %d, %v", n, err)
+	}
+	// At the pinned snapshot the appended tail is invisible: the read
+	// ends at the old EOF, short.
+	snap := fsapi.AtVersion(uint64(v1[len(v1)-1]))
+	if n, err := fs.ReadRange("/rr", buf, 600, snap); n != 100 || !errors.Is(err, io.EOF) || !bytes.Equal(buf[:n], data[600:]) {
+		t.Fatalf("snapshot ReadRange past EOF = %d, %v", n, err)
+	}
+	if n, err := fs.ReadRange("/rr", buf, 700); n != 4 || !errors.Is(err, io.EOF) || string(buf[:n]) != "tail" {
+		t.Fatalf("latest ReadRange of the tail = %d, %v", n, err)
+	}
+	if n, err := fs.ReadRange("/rr", buf, 5000); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("ReadRange past EOF = %d, %v", n, err)
+	}
+	if _, err := fs.ReadRange("/rr", buf, 0, fsapi.AtVersion(99)); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("unknown version: %v", err)
+	}
+	if _, err := fs.ReadRange("/rr", buf, -1); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("negative offset: %v", err)
+	}
+	if err := fs.Mkdir("/dir"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadRange("/dir", buf, 0); !errors.Is(err, fsapi.ErrIsDir) {
+		t.Fatalf("directory: %v", err)
+	}
+	writeFile(t, fs, "/empty", nil)
+	if n, err := fs.ReadRange("/empty", buf, 0); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("empty file = %d, %v", n, err)
+	}
+}
+
+// TestReaderRejectsNegativeOffset: ReadAt at a negative offset is an
+// error, as io.ReaderAt requires, not a slice-bounds panic.
+func TestReaderRejectsNegativeOffset(t *testing.T) {
+	_, fs := newTestFS(t, Config{})
+	writeFile(t, fs, "/neg", make([]byte, 100))
+	r, err := fs.Open("/neg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n, err := r.ReadAt(make([]byte, 10), -5); n != 0 || err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt(-5) = %d, %v", n, err)
+	}
+}
+
+// TestWritesStraddlingBlocks writes a file in pieces of awkward sizes,
+// some larger than a block and most crossing a block boundary: the
+// writer fills each block in place to its boundary and commits whole
+// blocks only, so the file reads back intact with one version per block.
+func TestWritesStraddlingBlocks(t *testing.T) {
+	_, fs := newTestFS(t, Config{BlockSize: 256})
+	data := make([]byte, 1500)
+	rand.New(rand.NewSource(5)).Read(data)
+	w, err := fs.Create("/straddle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, i := 0, 0; off < len(data); i++ {
+		n := min([]int{10, 300, 50, 700, 3, 90}[i%6], len(data)-off)
+		if got, err := w.Write(data[off : off+n]); got != n || err != nil {
+			t.Fatalf("Write(%d) = %d, %v", n, got, err)
+		}
+		off += n
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs, "/straddle"); !bytes.Equal(got, data) {
+		t.Fatalf("read back %d bytes, mismatch", len(got))
+	}
+	versions, err := fs.Versions("/straddle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (len(data) + 255) / 256; len(versions) != want {
+		t.Fatalf("%d versions, want one per block (%d)", len(versions), want)
+	}
+}

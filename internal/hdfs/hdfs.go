@@ -633,6 +633,9 @@ func (r *reader) fetchChunk(idx int, materialize bool) ([]byte, error) {
 
 // ReadAt implements io.ReaderAt, streaming chunk by chunk.
 func (r *reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("hdfs: read at negative offset %d", off)
+	}
 	if off >= r.size {
 		return 0, io.EOF
 	}

@@ -369,3 +369,25 @@ func TestDataNodeStoreSpecRecovery(t *testing.T) {
 		t.Fatalf("recovered %d chunks, stored %d", recovered, chunks)
 	}
 }
+
+// TestReaderRejectsNegativeOffset: ReadAt at a negative offset is an
+// error, as io.ReaderAt requires, not a slice-bounds panic.
+func TestReaderRejectsNegativeOffset(t *testing.T) {
+	_, fs := newTestFS(t, Config{})
+	w, err := fs.Create("/neg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(make([]byte, 100))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open("/neg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.ReadAt(make([]byte, 10), -5); n != 0 || err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt(-5) = %d, %v", n, err)
+	}
+	r.Close()
+}

@@ -6,6 +6,17 @@
 // themselves are the same objects the simulator runs; rpcnet is a thin
 // veneer that serializes the fsapi surface (plus BSFS's versioning
 // extensions) onto one listener.
+//
+// The data path fetches and copies each byte no more than it must.
+// Reads are served at request granularity: a Read RPC fetches exactly its range from BlobSeer
+// (bsfs.FS.ReadRange), because a one-shot remote read would throw away
+// a prefetched block. BSFS's whole-block prefetch cache and readahead
+// belong to readers that stay open, such as in-process MapReduce tasks.
+// Client.Get sizes its result once from Stat and gob decodes each chunk
+// straight into its window. Every data message stays under 10 MiB
+// (MaxChunk reads, MaxVecChunks × MaxChunk vectored writes): gob reads
+// a smaller message with one allocation, but grows a larger one in
+// 10 MiB pieces.
 package rpcnet
 
 import (
@@ -137,8 +148,10 @@ func (s *Service) Write(args *WriteArgs, reply *WriteReply) error {
 	return err
 }
 
-// MaxVecChunks bounds the chunk count of one vectored write.
-const MaxVecChunks = 16
+// MaxVecChunks bounds the chunk count of one vectored write, so one
+// WriteVec message carries at most 8 MiB and stays under gob's
+// single-allocation size.
+const MaxVecChunks = 2
 
 // WriteVecArgs appends several chunks through a handle in one round
 // trip — the wire-level face of the batched commit pipeline: the BSFS
@@ -230,8 +243,12 @@ type ReadArgs struct {
 // ReadReply carries the bytes (short at EOF).
 type ReadReply struct{ Data []byte }
 
-// Read returns up to Len bytes at Off of the requested snapshot.
+// Read returns up to Len bytes at Off of the requested snapshot,
+// fetching exactly that range (no block prefetch).
 func (s *Service) Read(args *ReadArgs, reply *ReadReply) error {
+	if args.Off < 0 || args.Len < 0 {
+		return fmt.Errorf("rpcnet: read of %d bytes at %d: negative offset or length", args.Len, args.Off)
+	}
 	if args.Len > MaxChunk {
 		return fmt.Errorf("rpcnet: read %d exceeds max %d", args.Len, MaxChunk)
 	}
@@ -240,18 +257,12 @@ func (s *Service) Read(args *ReadArgs, reply *ReadReply) error {
 		return err
 	}
 	defer release()
-	var r fsapi.Reader
-	if args.Version == 0 {
-		r, err = s.fs.OpenAt(args.Path)
-	} else {
-		r, err = s.fs.OpenAt(args.Path, fsapi.AtVersion(args.Version))
+	var opts []fsapi.OpenOption
+	if args.Version != 0 {
+		opts = append(opts, fsapi.AtVersion(args.Version))
 	}
-	if err != nil {
-		return err
-	}
-	defer r.Close()
 	buf := make([]byte, args.Len)
-	n, err := r.ReadAt(buf, args.Off)
+	n, err := s.fs.ReadRange(args.Path, buf, args.Off, opts...)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return err
 	}
@@ -588,28 +599,31 @@ func (c *Client) stream(path string, app bool, data []byte) error {
 	return c.rpc.Call("BSFS.Close", &CloseArgs{Handle: open.Handle}, &cl)
 }
 
-// Get reads a whole file (or snapshot version; 0 = latest).
+// Get reads a whole file (or snapshot version; 0 = latest). The result
+// is allocated once, sized from Stat, and each chunk is decoded in
+// place: gob fills a reply slice whose capacity already fits.
 func (c *Client) Get(path string, version uint64) ([]byte, error) {
 	st, err := c.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	for off := int64(0); off < st.Size; off += MaxChunk {
-		l := int64(MaxChunk)
-		if off+l > st.Size {
-			l = st.Size - off
-		}
-		var rr ReadReply
-		if err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: path, Version: version, Off: off, Len: l, Tenant: c.Tenant}, &rr); err != nil {
+	out := make([]byte, st.Size)
+	var got int64
+	for got < st.Size {
+		l := min(int64(MaxChunk), st.Size-got)
+		rr := ReadReply{Data: out[got : got : got+l]}
+		if err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: path, Version: version, Off: got, Len: l, Tenant: c.Tenant}, &rr); err != nil {
 			return nil, err
 		}
-		out = append(out, rr.Data...)
+		if int64(len(rr.Data)) > l {
+			return nil, fmt.Errorf("rpcnet: read of %d bytes returned %d", l, len(rr.Data))
+		}
+		got += int64(len(rr.Data))
 		if int64(len(rr.Data)) < l {
 			break
 		}
 	}
-	return out, nil
+	return out[:got], nil
 }
 
 // ReadRange reads length bytes at off.

@@ -21,33 +21,46 @@ func startServer(t *testing.T) *Client {
 // bsfsd's -vm-shards layout).
 func startShardedServer(t *testing.T, shards int) *Client {
 	t.Helper()
-	env := cluster.NewLocal(3+shards, 0)
 	vmNodes := make([]cluster.NodeID, shards)
 	for i := 1; i < shards; i++ {
 		vmNodes[i] = cluster.NodeID(3 + i)
 	}
-	dep, err := core.NewDeployment(env, core.Options{
+	c, _, stop := serve(t, 3+shards, core.Options{
 		PageSize:      4 << 10,
 		VMNodes:       vmNodes,
 		ProviderNodes: []cluster.NodeID{1, 2, 3},
-	})
+	}, 64<<10)
+	t.Cleanup(stop)
+	return c
+}
+
+// serve boots a Local-env deployment of nodes nodes behind a TCP
+// listener, with the rpcnet service on node 0, and returns a connected
+// client, the deployment and the teardown.
+func serve(tb testing.TB, nodes int, opts core.Options, blockSize int64) (*Client, *core.Deployment, func()) {
+	tb.Helper()
+	dep, err := core.NewDeployment(cluster.NewLocal(nodes, 0), opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { dep.Close() })
-	svc := bsfs.NewService(dep, bsfs.Config{BlockSize: 64 << 10})
+	svc := bsfs.NewService(dep, bsfs.Config{BlockSize: blockSize})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		dep.Close()
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
 	go Serve(l, NewService(svc.NewFS(0)))
 	c, err := Dial(l.Addr().String())
 	if err != nil {
-		t.Fatal(err)
+		l.Close()
+		dep.Close()
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	return c, dep, func() {
+		c.Close()
+		l.Close()
+		dep.Close()
+	}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -153,6 +166,26 @@ func TestErrorsPropagate(t *testing.T) {
 	var rr ReadReply
 	if err := c.rpc.Call("BSFS.Read", &ReadArgs{Path: "/missing", Len: MaxChunk + 1}, &rr); err == nil {
 		t.Fatal("oversized read accepted")
+	}
+}
+
+// TestReadRejectsNegativeRange: a negative offset or length is an
+// error on the wire, not a handler panic that takes the server down,
+// and the same connection keeps serving.
+func TestReadRejectsNegativeRange(t *testing.T) {
+	c := startServer(t)
+	if err := c.Put("/neg", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadRange("/neg", 0, 0, -1); err == nil {
+		t.Fatal("negative length accepted")
+	}
+	if _, err := c.ReadRange("/neg", 0, -5, 4); err == nil {
+		t.Fatal("negative offset accepted")
+	}
+	got, err := c.ReadRange("/neg", 0, 2, 3)
+	if err != nil || string(got) != "234" {
+		t.Fatalf("read after rejections = %q, %v", got, err)
 	}
 }
 
@@ -282,7 +315,8 @@ func TestMembershipOverWire(t *testing.T) {
 }
 
 // TestWriteVecBatchedChunks drives the vectored write RPC directly:
-// many chunks land through one round trip and read back in order.
+// a full batch of chunks lands through one round trip and reads back
+// in order.
 func TestWriteVecBatchedChunks(t *testing.T) {
 	c := startServer(t)
 	var open OpenReply
@@ -291,7 +325,7 @@ func TestWriteVecBatchedChunks(t *testing.T) {
 	}
 	var chunks [][]byte
 	var want []byte
-	for i := 0; i < 5; i++ {
+	for i := 0; i < MaxVecChunks; i++ {
 		chunk := bytes.Repeat([]byte{byte('a' + i)}, 1000+i)
 		chunks = append(chunks, chunk)
 		want = append(want, chunk...)
